@@ -98,23 +98,25 @@ class Branch:
     def lambda_max(self):
         return max(p.lam for p in self.points)
 
-    def lambda_star_bracket(self):
-        lam = self.lambda_max
-        return (lam, lam * 1.001)
-
 
 def _nonlinear_nodes(basis, c):
     """Node values of the truncated expansion, safe to feed into f.
 
-    Two guards against near-axis synthesis artifacts in high dimension,
-    where basis values grow like rho^(-(n-1)/2) toward the axis:
-    truncation ringing of size |c_K phi_K(rho)| that the exponential
-    nonlinearity would amplify catastrophically, and nodes whose rho^(n-1)
-    quadrature weight makes them irrelevant to every projection integral.
-    For n >= 8 the synthesis is spectrally filtered (the damped tail sits
-    below the ringing floor anyway); nodes with negligible weight are zeroed
-    so f(noise) cannot overflow.  Neither guard changes any projection at
-    double precision.
+    Two guards against near-axis synthesis artifacts, which grow with the
+    dimension because basis values grow like rho^(-(n-1)/2) toward the axis:
+
+    - the synthesis is spectrally filtered (`spectral.filtered`) for every
+      n, so truncation ringing of size |c_K phi_K(rho)| is damped before the
+      exponential nonlinearity can amplify it;
+    - nodes whose rho^(n-1) quadrature weight is below 1e-13 of the largest
+      weight are set to zero, so f(noise) cannot overflow there.
+
+    Both guards change the solution, not only the artifacts.  The filter
+    damps every coefficient by the factor exp(-36 (k/K)^8).  The weight cut
+    feeds f(0) instead of f(u) on the cut nodes, which lie next to the axis:
+    0.1 % of the nodes at n = 3, 12 % at n = 10 and 29 % at n = 20
+    (rho < 0.19).  At n = 20 the minimal solution near the extremal
+    parameter then has a spurious maximum at the cut.
     """
     c = spectral.filtered(spectral.RadialCoeffs(basis, c)).c
     vals = c @ basis.phi_table
@@ -191,8 +193,7 @@ def amplitude(u):
 def _amplitude_row(basis):
     """Linear functional c -> amplitude(u) as a coefficient-space row."""
     row = basis.phi_matrix(np.array([0.0]))[:, 0]
-    k = np.arange(1, basis.K + 1)
-    return row * np.exp(-36.0 * (k / basis.K) ** 8)
+    return spectral.filtered(spectral.RadialCoeffs(basis, row)).c
 
 
 def newton_solve(basis, t, f, guess=None, tol=NEWTON_TOL, max_iter=60):

@@ -202,13 +202,17 @@ def _run_check(name, cfg, basis, f, rng, branch):
             return {"status": "skip", "margin": None}
         C = extension.poisson_constant(n, s)
         radii = np.linspace(0.02, 0.95, 20)
-        worst = 0.0
-        for p in _stable_points(branch(), 5):
-            h = spectral.analyze(
+        pts = _stable_points(branch(), 5)
+        hs = [
+            spectral.analyze(
                 basis, p.lam * f.eval(branchsolve.nonlinear_node_values(p.u))
             )
-            for x in radii:
-                bound = C * extension.riesz_potential_radial(h, float(x))
+            for p in pts
+        ]
+        worst = 0.0
+        for x in radii:
+            bounds = C * extension.riesz_potential_radial(hs, float(x))
+            for p, bound in zip(pts, bounds):
                 ratio = abs(spectral.evaluate(p.u, float(x))) / bound
                 worst = max(worst, ratio)
         return _check(worst <= 1.0 + 1e-3, worst)

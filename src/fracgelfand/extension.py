@@ -283,59 +283,70 @@ def poisson_constant(n, s):
     return gamma((n + 2.0 - 2.0 * s) / 2.0) / (math.pi ** (n / 2.0) * gamma(1.0 - s))
 
 
-def riesz_potential_radial(h, x_mag, n_t=80, n_theta=48):
-    """int_{B_1} |h(x~)| / |x - x~|^(n-2s) dx~ at |x| = x_mag.
+# sample radii per block of basis values in riesz_potential_radial: keeps the
+# (K, block) table and its jv temporaries to a few MB at every x
+_RIESZ_BLOCK = 2048
 
-    Integrated in spherical shells centered at x (distance t = |x~ - x|); the
-    t^(2s-1) weight is absorbed by the substitution t = tau^(1/(2s)) and the
-    shell integral clips at the unit-ball boundary.
+
+def _riesz_samples(n, s, x, n_t, n_theta):
+    """Sample radii r_i in [0, 1] and weights w_i with R(h)(x) = sum_i w_i |h(r_i)|.
+
+    The potential is integrated in spherical shells centered at x (distance
+    t = |x~ - x|); the t^(2s-1) weight is absorbed by the substitution
+    t = tau^(1/(2s)) on each piece between the tangency radii, and each shell
+    integral over the polar angle theta clips at the unit-ball boundary.
+    None of this depends on h.
     """
-    basis = h.basis
-    n, s = basis.n, basis.s
-    x = float(x_mag)
-    h_abs = lambda rho: np.abs(spectral.evaluate(h, rho))
-
-    if n == 2:
-        area_factor = 2.0  # |S^0|
-    else:
-        area_factor = spectral.sphere_area(n - 1)
-
-    xg, wg = np.polynomial.legendre.leggauss(n_theta)
-
-    def shell(t_arr):
-        out = np.zeros_like(t_arr)
-        for i, t in enumerate(t_arr):
-            if t <= 0:
-                out[i] = spectral.sphere_area(n) * h_abs(np.array([x]))[0]
-                continue
-            # |x e + t omega|^2 = x^2 + t^2 + 2 x t cos(theta)
-            if x == 0.0:
-                if t < 1.0:
-                    out[i] = spectral.sphere_area(n) * h_abs(np.array([t]))[0]
-                continue
-            mu_star = (1.0 - x * x - t * t) / (2.0 * x * t)
-            if mu_star <= -1.0:
-                continue  # shell entirely outside B_1
-            theta_lo = 0.0 if mu_star >= 1.0 else math.acos(max(-1.0, min(1.0, mu_star)))
-            theta = 0.5 * (xg + 1.0) * (math.pi - theta_lo) + theta_lo
-            wt = 0.5 * wg * (math.pi - theta_lo)
-            r = np.sqrt(np.maximum(x * x + t * t + 2.0 * x * t * np.cos(theta), 0.0))
-            out[i] = area_factor * float(
-                np.sum(wt * np.sin(theta) ** (n - 2) * h_abs(np.minimum(r, 1.0)))
-            )
-        return out
-
     # integral = int_0^{1+x} t^(2s-1) * shell(t) dt, split at the tangency radii
     xt, wt = np.polynomial.legendre.leggauss(n_t)
     breaks = sorted({0.0, max(1.0 - x, 0.0), 1.0 + x})
-    total = 0.0
+    ts, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b - a < 1e-14:
             continue
         # tau = t^(2s) on each piece removes the endpoint weight at t=0
         ta, tb = a ** (2.0 * s), b ** (2.0 * s)
         tau = 0.5 * (xt + 1.0) * (tb - ta) + ta
-        wtau = 0.5 * wt * (tb - ta)
-        t = tau ** (1.0 / (2.0 * s))
-        total += float(np.sum(wtau * shell(t))) / (2.0 * s)
-    return total
+        ts.append(tau ** (1.0 / (2.0 * s)))
+        ws.append(0.5 * wt * (tb - ta) / (2.0 * s))
+    t, w = np.concatenate(ts), np.concatenate(ws)
+    if x == 0.0:
+        inside = t < 1.0
+        return t[inside], spectral.sphere_area(n) * w[inside]
+
+    # |x e + t omega|^2 = x^2 + t^2 + 2 x t cos(theta); the shell lies in B_1
+    # for cos(theta) <= mu_star (Gauss nodes are interior, so t > 0)
+    mu_star = (1.0 - x * x - t * t) / (2.0 * x * t)
+    keep = mu_star > -1.0  # the other shells lie entirely outside B_1
+    t, w = t[keep, None], w[keep, None]
+    theta_lo = np.arccos(np.clip(mu_star[keep], -1.0, 1.0))[:, None]
+    xg, wg = np.polynomial.legendre.leggauss(n_theta)
+    theta = 0.5 * (xg + 1.0) * (math.pi - theta_lo) + theta_lo
+    wth = 0.5 * wg * (math.pi - theta_lo)
+    r = np.sqrt(np.maximum(x * x + t * t + 2.0 * x * t * np.cos(theta), 0.0))
+    area_factor = 2.0 if n == 2 else spectral.sphere_area(n - 1)  # |S^0| = 2
+    weights = w * area_factor * wth * np.sin(theta) ** (n - 2)
+    return np.minimum(r, 1.0).ravel(), weights.ravel()
+
+
+def riesz_potential_radial(h, x_mag, n_t=80, n_theta=48):
+    """int_{B_1} |h(x~)| / |x - x~|^(n-2s) dx~ at |x| = x_mag.
+
+    h is one RadialCoeffs, giving a float, or a sequence of them on one
+    basis, giving an array with one potential per function.  The quadrature
+    is a fixed set of sample radii and weights (see _riesz_samples), so all
+    functions share one table of basis values, built in blocks of
+    _RIESZ_BLOCK radii.
+    """
+    single = isinstance(h, spectral.RadialCoeffs)
+    hs = [h] if single else list(h)
+    basis = hs[0].basis
+    if any(g.basis is not basis for g in hs):
+        raise ValueError("all functions must share one basis")
+    C = np.stack([g.c for g in hs])
+    r, w = _riesz_samples(basis.n, basis.s, float(x_mag), n_t, n_theta)
+    total = np.zeros(len(hs))
+    for lo in range(0, r.size, _RIESZ_BLOCK):
+        block = slice(lo, lo + _RIESZ_BLOCK)
+        total += np.abs(C @ basis.phi_matrix(r[block])) @ w[block]
+    return float(total[0]) if single else total

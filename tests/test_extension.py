@@ -179,6 +179,21 @@ class TestRieszPotential:
         two = extension.riesz_potential_radial(spectral.coeffs(basis3, 2.0 * c), 0.4)
         assert two == pytest.approx(2.0 * one, rel=1e-10)
 
+    def test_single_function_returns_float(self, basis3):
+        h = spectral.coeffs(basis3, np.ones(8))
+        assert type(extension.riesz_potential_radial(h, 0.4)) is float
+
+    @pytest.mark.parametrize("n", [2, 3])  # n = 2 takes the |S^0| = 2 branch
+    def test_batched_matches_single_calls(self, n):
+        b = spectral.build_basis(n, 0.5, 16)
+        rng = np.random.default_rng(n)
+        hs = [spectral.coeffs(b, rng.normal(size=16)) for _ in range(4)]
+        for x in (0.0, 0.4, 0.9):
+            batched = extension.riesz_potential_radial(hs, x)
+            single = [extension.riesz_potential_radial(h, x) for h in hs]
+            assert isinstance(batched, np.ndarray) and batched.shape == (4,)
+            np.testing.assert_allclose(batched, single, rtol=1e-13, atol=0.0)
+
     def test_against_log_kernel_oracle(self):
         # n=3, s=1/2: V(x) = (2 pi / x) int_0^1 r h(r) log((r+x)/|r-x|) dr
         b = spectral.build_basis(3, 0.5, 48)

@@ -2,8 +2,10 @@
 
 The A-constant has an independent oracle: for n = 3, s = 1/2 the angular
 integral can be reduced to an elementary function and the remaining (r, y)
-double integral handled by scipy.integrate, so the graded-panel evaluator is
-checked against a structurally different computation.
+double integral handled by scipy.integrate, so the 2F1 angular form and the
+graded (r, y) quadrature are checked against a structurally different
+computation.  The 2F1 form is also checked against adaptive quadrature of the
+angular integral itself.
 """
 
 import math
@@ -123,6 +125,38 @@ def _a_oracle_3d_half(beta):
     )
     assert err < 1e-6
     return val
+
+
+def _a_theta_quad(n, s, r, y):
+    # 1 - cos t = 2 sin^2(t/2) keeps the kernel accurate at the peak t ~ 0
+    p = (n + 2.0 - 2.0 * s) / 2.0
+    q = y * y + (r - 1.0) ** 2
+    width = math.sqrt(q / r)
+    val, _ = integrate.quad(
+        lambda t: math.sin(t) ** (n - 2)
+        * (q + 4.0 * r * math.sin(0.5 * t) ** 2) ** (-p),
+        0.0, math.pi,
+        points=[c for c in (width, 4 * width, 16 * width) if c < math.pi] or None,
+        epsabs=0.0, epsrel=1e-13, limit=500,
+    )
+    return val
+
+
+class TestAngularIntegral:
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_closed_form_against_quad(self, n, s):
+        # 1e-10 from the axis to far out, down to q = y^2 + (r-1)^2 = 1e-5;
+        # closer to the corner (1, 0), rounding z costs about 2e-16 / q
+        rys = [(1e-3, 0.01), (0.3, 0.2), (0.5, 2.0), (0.997, 0.002),
+               (1.0, 0.0032), (1.003, 0.002), (1.1, 0.05), (3.0, 0.1),
+               (50.0, 5.0), (1.0, 1e-3), (0.999, 0.0), (1.0, 1e-4),
+               (0.9999, 0.0), (1.0, 1e-5), (0.99999, 0.0)]
+        for r, y in rys:
+            q = y * y + (r - 1.0) ** 2
+            got = regularity._a_theta_integral(n, s, np.array([r]), y)[0]
+            assert got == pytest.approx(_a_theta_quad(n, s, r, y),
+                                        rel=max(1e-10, 1e-15 / q))
 
 
 class TestAConstant:
