@@ -21,7 +21,6 @@ from . import spectral
 BLOWUP_THRESHOLD = 1e6
 NEWTON_TOL = 1e-10
 MONOTONE_TOL = 1e-9
-EIG_TOL = 1e-8
 
 
 class DivergenceSignal(Exception):
@@ -347,12 +346,18 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
     except DivergenceSignal:
         lo = lam_fold * 0.9  # fold estimate slightly high; widen downward
         monotone_iterate(basis, lo, f, max_iter=max_iter)
-    while True:
+    # grow hi by 5 % until the iteration diverges, at most to 1.05^60 ~ 19x
+    for _ in range(60):
         try:
             monotone_iterate(basis, hi, f, max_iter=max_iter)
-            hi *= 1.05
         except DivergenceSignal:
             break
+        hi *= 1.05
+    else:
+        raise RuntimeError(
+            f"monotone iteration converges up to lambda={hi / 1.05}, "
+            f"1.05^60 times the fold estimate {lam_fold}"
+        )
     while hi - lo > bracket_rel_tol * lam_fold:
         mid = 0.5 * (lo + hi)
         try:

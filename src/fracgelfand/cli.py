@@ -14,6 +14,7 @@ uses 17 significant digits; files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,22 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import branchsolve, cache, config, extension, regularity, spectral
-
-ALL_CHECKS = (
-    "flux_constant",
-    "energy_identity",
-    "max_principle",
-    "orthonormality",
-    "riesz_bound",
-    "lemma_a_grid",
-    "boundary_rate",
-    "radial_monotonicity",
-    "weighted_key_estimate",
-    "stability_weighted_inequality",
-    "exp_decay_y",
-    "phi1_identity",
-)
+from . import branchsolve, checks, config, regularity, spectral
 
 
 def _fmt(x):
@@ -127,172 +113,94 @@ def _branch_for_checks(cfg, basis, f):
     return branchsolve.continue_branch(basis, t_grid, f)
 
 
-def run_verify(cfg, checks=None):
+# name -> (margin(basis, f, rng, branch), pass test on the margin); branch()
+# continues the branch on first use.  Checks in FRACTIONAL_CHECKS are skipped
+# at s = 1.  The checks share one rng and run in the order asked for.
+CHECKS = {
+    "flux_constant": (
+        lambda b, f, rng, branch: checks.flux_constant_error(b.s),
+        lambda m: m <= 1e-5,
+    ),
+    "energy_identity": (
+        lambda b, f, rng, branch: checks.energy_identity_error(b.n, b.s, rng),
+        lambda m: m <= 1e-4,
+    ),
+    "max_principle": (
+        lambda b, f, rng, branch: checks.max_principle_min(b, rng),
+        lambda m: m >= -1e-8,
+    ),
+    "orthonormality": (
+        lambda b, f, rng, branch: checks.gram_error(b),
+        lambda m: m <= 1e-8,
+    ),
+    "riesz_bound": (
+        lambda b, f, rng, branch: checks.riesz_bound_ratio(
+            checks.stable_points(branch(), 5), f
+        ),
+        lambda m: m <= 1.0 + 1e-3,
+    ),
+    "lemma_a_grid": (
+        lambda b, f, rng, branch: checks.lemma_a_worst(b.n, b.s)[0],
+        lambda m: m > 0.0,
+    ),
+    "boundary_rate": (
+        lambda b, f, rng, branch: checks.boundary_rate(b)
+        - (min(2.0 * b.s, 1.0) - 0.05),
+        lambda m: m >= 0.0,
+    ),
+    "radial_monotonicity": (
+        lambda b, f, rng, branch: checks.max_radial_slope(branch().points),
+        lambda m: m < 1e-8,
+    ),
+    "weighted_key_estimate": (
+        lambda b, f, rng, branch: checks.weighted_key_ratio(branch()),
+        lambda m: m < 2.0,
+    ),
+    "stability_weighted_inequality": (
+        lambda b, f, rng, branch: checks.stability_margin(
+            checks.stable_points(branch(), 5)
+        ),
+        lambda m: m >= -1e-6,
+    ),
+    "exp_decay_y": (
+        lambda b, f, rng, branch: checks.y_decay_rate(
+            checks.stable_points(branch(), 1)[0].u
+        ) - 0.9 * math.sqrt(b.mu[0]),
+        lambda m: m >= 0.0,
+    ),
+    "phi1_identity": (
+        lambda b, f, rng, branch: checks.phi1_identity_error(
+            checks.stable_points(branch(), 5), f
+        ),
+        lambda m: m <= 1e-8,
+    ),
+}
+FRACTIONAL_CHECKS = {
+    "flux_constant", "energy_identity", "riesz_bound", "lemma_a_grid",
+    "weighted_key_estimate", "stability_weighted_inequality", "exp_decay_y",
+}
+
+
+def run_verify(cfg, names=None):
     """Run the named invariant checks; returns {name: {status, margin}}."""
-    if checks is None:
-        checks = list(ALL_CHECKS)
-    report = {}
+    names = list(CHECKS) if names is None else names
     basis, f = _build(cfg)
     rng = np.random.default_rng(cfg.seed)
-    branch_cache = {}
-
-    def branch():
-        if "br" not in branch_cache:
-            branch_cache["br"] = _branch_for_checks(cfg, basis, f)
-        return branch_cache["br"]
-
-    for name in checks:
+    branch = functools.cache(lambda: _branch_for_checks(cfg, basis, f))
+    report = {}
+    for name in names:
+        margin, passes = CHECKS[name]
+        if cfg.s >= 1.0 and name in FRACTIONAL_CHECKS:
+            report[name] = {"status": "skip", "margin": None}
+            continue
         try:
-            report[name] = _run_check(name, cfg, basis, f, rng, branch)
+            m = float(margin(basis, f, rng, branch))
         except Exception as exc:  # individual failures must not abort the suite
             report[name] = {"status": "fail", "margin": None, "error": str(exc)}
+            continue
+        report[name] = {"status": "pass" if passes(m) else "fail", "margin": m}
     _atomic_write(Path(cfg.out_dir) / "verify.json", _json_dump(report))
     return report
-
-
-def _check(ok, margin):
-    return {"status": "pass" if ok else "fail", "margin": float(margin)}
-
-
-def _stable_points(br, count=5):
-    idx = br.fold_index if br.fold_index is not None else len(br.points)
-    pts = [p for p in br.points[:idx] if p.nu1 > 0]
-    step = max(1, len(pts) // count)
-    return pts[::step][:count]
-
-
-def _run_check(name, cfg, basis, f, rng, branch):
-    n, s = cfg.n, cfg.s
-
-    if name == "flux_constant":
-        if s >= 1.0:
-            return {"status": "skip", "margin": None}
-        c = extension.flux_constant(s)
-        ref = extension.flux_constant_analytic(s)
-        err = abs(c - ref) / ref
-        return _check(err <= 1e-5, err)
-
-    if name == "energy_identity":
-        if s >= 1.0:
-            return {"status": "skip", "margin": None}
-        small = spectral.build_basis(n, s, 8, 64)
-        u = spectral.coeffs(small, rng.normal(size=8))
-        e = extension.extension_energy(extension.ExtensionField(u))
-        ref = extension.flux_constant_analytic(s) * spectral.h_norm(u) ** 2
-        err = abs(e - ref) / ref
-        return _check(err <= 1e-4, err)
-
-    if name == "max_principle":
-        grid = np.linspace(0.0, 1.0, 200)
-        worst = np.inf
-        for _ in range(20):
-            coef = rng.uniform(0.0, 1.0, size=4)
-            h = spectral.analyze(basis, lambda r: np.polyval(coef, r ** 2))
-            u = spectral.inv_frac_laplacian(h)
-            worst = min(worst, float(np.min(spectral.evaluate(u, grid))))
-        return _check(worst >= -1e-8, worst)
-
-    if name == "orthonormality":
-        G = (basis.phi_table * basis.quad_weights) @ basis.phi_table.T
-        err = float(np.max(np.abs(G - np.eye(basis.K))))
-        return _check(err <= 1e-8, err)
-
-    if name == "riesz_bound":
-        if s >= 1.0:
-            return {"status": "skip", "margin": None}
-        C = extension.poisson_constant(n, s)
-        radii = np.linspace(0.02, 0.95, 20)
-        pts = _stable_points(branch(), 5)
-        hs = [
-            spectral.analyze(
-                basis, p.lam * f.eval(branchsolve.nonlinear_node_values(p.u))
-            )
-            for p in pts
-        ]
-        worst = 0.0
-        for x in radii:
-            bounds = C * extension.riesz_potential_radial(hs, float(x))
-            for p, bound in zip(pts, bounds):
-                ratio = abs(spectral.evaluate(p.u, float(x))) / bound
-                worst = max(worst, ratio)
-        return _check(worst <= 1.0 + 1e-3, worst)
-
-    if name == "lemma_a_grid":
-        if s >= 1.0:
-            return {"status": "skip", "margin": None}
-        margins = [
-            regularity.lemma_a_margin(n, s, beta)
-            for beta in (0.5, n / 2.0, 0.9 * n)
-        ]
-        worst = min(margins)
-        return _check(worst > 0.0, worst)
-
-    if name == "boundary_rate":
-        zeta0 = spectral.inv_frac_laplacian(
-            spectral.analyze(basis, lambda r: np.ones_like(r))
-        )
-        rate = regularity.boundary_decay_rate(zeta0)
-        need = min(2.0 * s, 1.0) - 0.05
-        return _check(rate >= need, rate - need)
-
-    if name == "radial_monotonicity":
-        # truncation ringing pollutes the derivative series near the axis and
-        # the boundary; the monotonicity statement is checked on resolved radii
-        radii = np.linspace(0.05, 0.95, 100)
-        worst = -np.inf
-        for p in branch().points:
-            worst = max(worst, float(np.max(spectral.evaluate_deriv(p.u, radii))))
-        return _check(worst < 1e-8, worst)
-
-    if name == "weighted_key_estimate":
-        if s >= 1.0:
-            return {"status": "skip", "margin": None}
-        br = branch()
-        idx = br.fold_index if br.fold_index is not None else len(br.points) - 1
-        spec = extension.CutoffSpec(
-            alpha=1.0 + math.sqrt(n - 1.0) - 0.1, epsilon=0.01, R=5.0
-        )
-        vals = [
-            extension.weighted_vrho_integral(extension.ExtensionField(p.u), spec)
-            for p in (br.points[idx - 1], br.points[idx])
-        ]
-        ratio = vals[1] / vals[0] if vals[0] else 1.0
-        return _check(ratio < 2.0, ratio)
-
-    if name == "stability_weighted_inequality":
-        if s >= 1.0:
-            return {"status": "skip", "margin": None}
-        spec = extension.CutoffSpec(alpha=1.0, epsilon=0.05, R=3.0)
-        worst = np.inf
-        for p in _stable_points(branch(), 5):
-            lhs, rhs = extension.stability_weighted_inequality(
-                extension.ExtensionField(p.u), spec
-            )
-            worst = min(worst, lhs - rhs)
-        return _check(worst >= -1e-6, worst)
-
-    if name == "exp_decay_y":
-        if s >= 1.0:
-            return {"status": "skip", "margin": None}
-        pts = _stable_points(branch(), 1)
-        field = extension.ExtensionField(pts[0].u)
-        ys = np.linspace(2.0, 10.0, 40) / math.sqrt(basis.mu[0])
-        ys = ys[ys * math.sqrt(basis.mu[0]) >= 2.0]
-        vals = np.abs(extension.extension_eval(field, 0.0, ys))
-        rate = -np.polyfit(ys, np.log(vals), 1)[0]
-        need = 0.9 * math.sqrt(basis.mu[0])
-        return _check(rate >= need, rate - need)
-
-    if name == "phi1_identity":
-        worst = 0.0
-        for p in _stable_points(branch(), 5):
-            lhs = basis.mu[0] ** basis.s * p.u.c[0]
-            fu = spectral.analyze(basis, f.eval(branchsolve.nonlinear_node_values(p.u)))
-            rhs = p.lam * fu.c[0]
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-        return _check(worst <= 1e-8, worst)
-
-    raise ValueError(f"unknown check {name!r}")
 
 
 def run_extremal(cfg):
@@ -322,11 +230,7 @@ def run_extremal(cfg):
             if bound > 0.1
             else None
         ),
-        "boundary_rate": regularity.boundary_decay_rate(
-            spectral.inv_frac_laplacian(
-                spectral.analyze(basis, lambda r: np.ones_like(r))
-            )
-        ),
+        "boundary_rate": checks.boundary_rate(basis),
     }
     _atomic_write(Path(cfg.out_dir) / "extremal.json", _json_dump(report))
     return report
@@ -380,7 +284,7 @@ def main(argv=None):
     add_common(pv)
     pv.add_argument(
         "--checks",
-        default=",".join(ALL_CHECKS),
+        default=",".join(CHECKS),
         help="comma-separated check names (empty for none)",
     )
     add_common(sub.add_parser("lambda-star", help="bracket the extremal parameter"))
@@ -390,7 +294,11 @@ def main(argv=None):
     pt.add_argument("--s-values", default="0.25,0.5,0.75,1.0")
 
     args = parser.parse_args(argv)
-    cache.install_from_env()
+    if args.command == "verify":
+        names = [c for c in args.checks.split(",") if c]
+        unknown = [c for c in names if c not in CHECKS]
+        if unknown:
+            pv.error(f"unknown checks {', '.join(unknown)}; known: {', '.join(CHECKS)}")
 
     if args.command == "table":
         ns = [int(v) for v in args.n_values.split(",") if v]
@@ -406,7 +314,6 @@ def main(argv=None):
         return 0 if summary["error"] is None else 1
 
     if args.command == "verify":
-        names = [c for c in args.checks.split(",") if c]
         report = run_verify(cfg, names)
         for key, entry in report.items():
             print(f"{key}: {entry['status']}")

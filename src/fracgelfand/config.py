@@ -14,12 +14,7 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_TOLERANCES = {
-    "newton_tol": branchsolve.NEWTON_TOL,
-    "monotone_tol": branchsolve.MONOTONE_TOL,
-    "eig_tol": branchsolve.EIG_TOL,
-    "bracket_tol": 1e-3,
-}
+DEFAULT_TOLERANCES = {"bracket_tol": 1e-3}
 
 
 @dataclass

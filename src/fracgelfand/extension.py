@@ -57,35 +57,13 @@ def flux_constant_analytic(s):
     return 2.0 ** (1.0 - 2.0 * s) * gamma(1.0 - s) / gamma(s)
 
 
-def _profile_norm(s, root):
-    # small-argument limit of y^s K_s(root*y) is Gamma(s)/2 * (root/2)^(-s)
-    return 2.0 * (root / 2.0) ** s / gamma(s)
-
-
-def profile(basis, k, y):
-    """Vertical profile g_k(y), normalized so g_k(0+) = 1."""
-    s = basis.s
-    root = math.sqrt(basis.mu[k - 1])
-    y = np.asarray(y, dtype=float)
-    out = _profile_norm(s, root) * np.where(y > 0, y, 1.0) ** s * special.kv(
-        s, root * np.where(y > 0, y, 1.0)
-    )
-    out = np.where(y > 0, out, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def profile_deriv(basis, k, y):
-    """g_k'(y), from d/dt [t^s K_s(t)] = -t^s K_{1-s}(t)."""
-    s = basis.s
-    root = math.sqrt(basis.mu[k - 1])
-    y = np.asarray(y, dtype=float)
-    t = root * y
-    out = -_profile_norm(s, root) * root ** (1.0 - s) * t ** s * special.kv(1.0 - s, t)
-    return float(out) if out.ndim == 0 else out
-
-
 def _profile_tables(basis, y):
-    """(K, len(y)) tables of g_k and g_k' at the given heights."""
+    """(K, len(y)) tables of g_k and g_k' at the given heights y > 0.
+
+    The norms invert the small-argument limit Gamma(s)/2 (sqrt(mu_k)/2)^(-s)
+    of y^s K_s(sqrt(mu_k) y), so that g_k(0+) = 1; g_k' follows from
+    d/dt [t^s K_s(t)] = -t^s K_{1-s}(t).
+    """
     s = basis.s
     roots = np.sqrt(basis.mu)
     norms = 2.0 * (roots / 2.0) ** s / gamma(s)
@@ -111,7 +89,8 @@ def flux_constant(s, k_indices=(1, 2, 5), rel_tol=1e-5):
     for k in k_indices:
         root = math.sqrt(basis.mu[k - 1])
         ys = 0.05 / root * 0.5 ** np.arange(8)
-        F = -(ys ** (1.0 - 2.0 * s)) * profile_deriv(basis, k, ys) / basis.mu[k - 1] ** s
+        gp = _profile_tables(basis, ys)[1][k - 1]
+        F = -(ys ** (1.0 - 2.0 * s)) * gp / basis.mu[k - 1] ** s
         F = list(F)
         r = 0.5
         for p in exponents[: len(F) - 1]:

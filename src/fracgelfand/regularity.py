@@ -1,12 +1,11 @@
 """Quantitative regularity checks: critical dimension, decay envelopes, the
-weighted kernel constant A(n, s, beta) and its sign condition, boundary rates,
-and weighted reaction integrals along the branch.
+weighted kernel constant A(n, s, beta) and its sign condition, and boundary
+rates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -165,53 +164,3 @@ def lemma_a_margin(n, s, beta, **kwargs):
     return 1.0 - beta * extension.poisson_constant(n, s) * a_constant(
         n, s, beta, **kwargs
     )
-
-
-def weighted_f_integral(u, f, beta, n_rho=400):
-    """int_{B_1} f(u) rho^(-beta) dx by a radial rule graded toward the axis."""
-    basis = u.basis
-    if beta >= basis.n:
-        raise ValueError("need beta < n for integrability")
-    x, w = np.polynomial.legendre.leggauss(n_rho)
-    t = 0.5 * (x + 1.0)
-    rho = t ** 3
-    drho = 3.0 * t ** 2 * 0.5 * w
-    vals = f.eval(spectral.evaluate(u, rho))
-    return float(
-        spectral.sphere_area(basis.n)
-        * np.sum(drho * rho ** (basis.n - 1.0 - beta) * vals)
-    )
-
-
-def step2_pointwise_bound(u, f, beta, n_check=200):
-    """Max violation of c rho^(n-beta) f(u(rho)) <= int f(u) rho^(-beta) dx.
-
-    The constant c is the annulus mass int_{B_2rho \\ B_rho} |x|^(-beta) dx
-    = |S^(n-1)| (2^(n-beta) - 1) rho^(n-beta) / (n - beta).
-    """
-    basis = u.basis
-    n = basis.n
-    total = weighted_f_integral(u, f, beta)
-    c = spectral.sphere_area(n) * (2.0 ** (n - beta) - 1.0) / (n - beta)
-    rho = np.geomspace(1e-3, 0.5, n_check)
-    lhs = c * rho ** (n - beta) * f.eval(spectral.evaluate(u, rho))
-    return float(np.max(lhs - total))
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    n: int
-    s: float
-    critical_dim: float
-    decay_bound: float
-    fitted_boundary_rate: float
-
-    @classmethod
-    def build(cls, n, s, zeta0):
-        return cls(
-            n=n,
-            s=s,
-            critical_dim=critical_dimension(s),
-            decay_bound=decay_exponent_bound(n, s),
-            fitted_boundary_rate=boundary_decay_rate(zeta0),
-        )

@@ -1,8 +1,8 @@
-"""Special-function kernel: gamma, Bessel J with its positive zeros, modified Bessel K.
+"""Special-function kernel: gamma and the positive zeros of Bessel J.
 
-Thin wrappers around scipy.special plus a robust real-order zero finder
+A thin wrapper around scipy.special plus a robust real-order zero finder
 (McMahon asymptotic guesses refined by Newton, with bisection fallback).
-Orders are restricted to [0, 60]; K is restricted to fractional orders in (0, 1).
+Orders are restricted to [0, 60].
 """
 
 from __future__ import annotations
@@ -28,17 +28,6 @@ def gamma(x):
     if np.any(x <= 0):
         raise ValueError("gamma requires x > 0")
     out = special.gamma(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_j(nu, x):
-    """Bessel function of the first kind J_nu(x), real order nu >= 0, x >= 0."""
-    if not (np.isfinite(nu) and nu >= 0):
-        raise ValueError("order must be finite and >= 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("bessel_j requires x >= 0")
-    out = special.jv(nu, x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -92,15 +81,6 @@ def _newton_refine(nu, x0, lo, hi, tol=1e-13, max_iter=60):
     return x
 
 
-# optional persistent cache installed by fracgelfand.cache
-_zero_cache = None
-
-
-def set_zero_cache(cache):
-    global _zero_cache
-    _zero_cache = cache
-
-
 def bessel_j_zeros(nu, count):
     """First `count` positive zeros of J_nu, strictly increasing.
 
@@ -111,10 +91,6 @@ def bessel_j_zeros(nu, count):
         raise ValueError("count must be >= 1")
     if not (0 <= nu <= 60):
         raise ValueError("order must lie in [0, 60]")
-    if _zero_cache is not None:
-        cached = _zero_cache.get(nu, count)
-        if cached is not None:
-            return cached
     zeros = np.empty(count)
     prev = 0.0
     for k in range(1, count + 1):
@@ -134,17 +110,4 @@ def bessel_j_zeros(nu, count):
             raise ZeroFindingError(nu, k, f"residual {special.jv(nu, z):.3e}")
         zeros[k - 1] = z
         prev = z
-    if _zero_cache is not None:
-        _zero_cache.put(nu, zeros)
     return zeros
-
-
-def bessel_k(s, x):
-    """Modified Bessel function K_s(x) for fractional order s in (0,1), x > 0."""
-    if not (0 < s < 1):
-        raise ValueError("order must lie in (0, 1)")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("bessel_k requires x > 0")
-    out = special.kv(s, x)
-    return float(out) if out.ndim == 0 else out

@@ -42,20 +42,6 @@ class BallBasis:
     def nu(self):
         return self.n / 2.0 - 1.0
 
-    def phi(self, k, rho):
-        """Eigenfunction phi_k (k is 1-based) at radius rho (scalar or array)."""
-        return self.norm_consts[k - 1] * _radial_kernel(
-            self.nu, math.sqrt(self.mu[k - 1]), rho
-        )
-
-    def phi_prime(self, k, rho):
-        """d(phi_k)/d(rho); vanishes linearly at the axis."""
-        j = math.sqrt(self.mu[k - 1])
-        rho = np.asarray(rho, dtype=float)
-        return -self.norm_consts[k - 1] * j * rho ** (-self.nu) * special.jv(
-            self.nu + 1.0, j * rho
-        )
-
     def phi_matrix(self, rho):
         """(K, len(rho)) table of phi_k(rho)."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -65,6 +51,7 @@ class BallBasis:
         )
 
     def phi_prime_matrix(self, rho):
+        """(K, len(rho)) table of d(phi_k)/d(rho); zero on the axis."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         roots = np.sqrt(self.mu)
         with np.errstate(divide="ignore"):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from fracgelfand import branchsolve, cli, config, extension, regularity, spectral
+from fracgelfand import branchsolve, checks, cli, config, extension, regularity, spectral
 
 RESULTS = {}
 
@@ -70,11 +70,7 @@ class TestCriterion1:
 class TestCriterion2:
     def test_flux_constant(self):
         t0 = time.perf_counter()
-        worst = 0.0
-        for s in (0.25, 0.5, 0.75):
-            c = extension.flux_constant(s)
-            ref = extension.flux_constant_analytic(s)
-            worst = max(worst, abs(c - ref) / ref)
+        worst = max(checks.flux_constant_error(s) for s in (0.25, 0.5, 0.75))
         half_err = abs(extension.flux_constant(0.5) - 1.0)
         ok = worst <= 1e-5 and half_err <= 1e-6
         _report(
@@ -91,11 +87,7 @@ class TestCriterion3:
         worst = 0.0
         for n in (2, 3, 5):
             for s in (0.3, 0.5, 0.7):
-                basis = spectral.build_basis(n, s, 8, 64)
-                u = spectral.coeffs(basis, rng.normal(size=8))
-                e = extension.extension_energy(extension.ExtensionField(u))
-                ref = extension.flux_constant_analytic(s) * spectral.h_norm(u) ** 2
-                worst = max(worst, abs(e - ref) / ref)
+                worst = max(worst, checks.energy_identity_error(n, s, rng))
         _report(
             3, "extension energy identity", worst <= 1e-4,
             f"worst rel err {worst:.1e} over (n,s) in {{2,3,5}}x{{0.3,0.5,0.7}}",
@@ -107,14 +99,7 @@ class TestCriterion4:
     def test_maximum_principle(self):
         t0 = time.perf_counter()
         basis = spectral.build_basis(3, 0.5, 32)
-        rng = np.random.default_rng(7)
-        grid = np.linspace(0.0, 1.0, 200)
-        worst = np.inf
-        for _ in range(20):
-            coef = rng.uniform(0.0, 1.0, size=4)
-            h = spectral.analyze(basis, lambda r: np.polyval(coef, r ** 2))
-            u = spectral.inv_frac_laplacian(h)
-            worst = min(worst, float(np.min(spectral.evaluate(u, grid))))
+        worst = checks.max_principle_min(basis, np.random.default_rng(7))
         _report(
             4, "maximum principle", worst >= -1e-8,
             f"min over 20 nonneg rhs = {worst:.2e}",
@@ -220,10 +205,9 @@ class TestCriterion9:
         worst_cfg = None
         for n in (2, 3, 5, 10):
             for s in (0.25, 0.5, 0.75):
-                for beta in (0.5, n / 2.0, 0.9 * n):
-                    m = regularity.lemma_a_margin(n, s, beta, rel_tol=1e-4)
-                    if m < worst:
-                        worst, worst_cfg = m, (n, s, round(beta, 2))
+                m, beta = checks.lemma_a_worst(n, s)
+                if m < worst:
+                    worst, worst_cfg = m, (n, s, round(beta, 2))
         _report(
             9, "weighted-kernel sign condition on full grid", worst > 0.0,
             f"min margin {worst:.4f} at (n,s,beta)={worst_cfg}",
@@ -233,21 +217,9 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_riesz_pointwise_bound(self, reference_branch, fexp):
-        basis, br, _, _, _ = reference_branch
+        _, br, _, _, _ = reference_branch
         t0 = time.perf_counter()
-        C = extension.poisson_constant(basis.n, basis.s)
-        radii = np.linspace(0.02, 0.95, 20)
-        hs = [
-            spectral.analyze(
-                basis, p.lam * fexp.eval(branchsolve.nonlinear_node_values(p.u))
-            )
-            for p in br.points
-        ]
-        worst = 0.0
-        for x in radii:
-            bounds = C * extension.riesz_potential_radial(hs, float(x))
-            for p, bound in zip(br.points, bounds):
-                worst = max(worst, abs(spectral.evaluate(p.u, float(x))) / bound)
+        worst = checks.riesz_bound_ratio(br.points, fexp)
         _report(
             10, "Riesz potential pointwise bound", worst <= 1.0 + 1e-3,
             f"worst ratio {worst:.6f} over {len(br.points)} branch points x 20 radii",
@@ -257,17 +229,9 @@ class TestCriterion10:
 
 class TestCriterion11:
     def test_weighted_key_estimate(self, reference_branch):
-        basis, br, _, _, _ = reference_branch
+        _, br, _, _, _ = reference_branch
         t0 = time.perf_counter()
-        spec = extension.CutoffSpec(
-            alpha=1.0 + math.sqrt(basis.n - 1.0) - 0.1, epsilon=0.01, R=5.0
-        )
-        idx = br.fold_index
-        vals = [
-            extension.weighted_vrho_integral(extension.ExtensionField(p.u), spec)
-            for p in (br.points[idx - 1], br.points[idx])
-        ]
-        ratio = vals[1] / vals[0]
+        ratio = checks.weighted_key_ratio(br)
         _report(
             11, "key weighted estimate near lambda*", ratio < 2.0,
             f"integral ratio {ratio:.4f} between the two points closest to lambda*",
@@ -277,17 +241,9 @@ class TestCriterion11:
 
 class TestCriterion12:
     def test_stability_inequality(self, reference_branch):
-        basis, br, _, _, _ = reference_branch
+        _, br, _, _, _ = reference_branch
         t0 = time.perf_counter()
-        spec = extension.CutoffSpec(alpha=1.0, epsilon=0.05, R=3.0)
-        stable = [p for p in br.points[: br.fold_index] if p.nu1 > 0]
-        step = max(1, len(stable) // 5)
-        worst = np.inf
-        for p in stable[::step][:5]:
-            lhs, rhs = extension.stability_weighted_inequality(
-                extension.ExtensionField(p.u), spec
-            )
-            worst = min(worst, lhs - rhs)
+        worst = checks.stability_margin(checks.stable_points(br, 5))
         _report(
             12, "stability test-function inequality", worst >= -1e-6,
             f"min margin {worst:.3e} over 5 stable branch points",
@@ -301,11 +257,7 @@ class TestCriterion13:
         worst_gap = np.inf
         rates = []
         for s in (0.25, 0.5, 0.75):
-            basis = spectral.build_basis(3, s, 64)
-            zeta0 = spectral.inv_frac_laplacian(
-                spectral.analyze(basis, lambda r: np.ones_like(r))
-            )
-            rate = regularity.boundary_decay_rate(zeta0)
+            rate = checks.boundary_rate(spectral.build_basis(3, s, 64))
             rates.append(round(rate, 3))
             worst_gap = min(worst_gap, rate - (min(2.0 * s, 1.0) - 0.05))
         _report(
@@ -319,17 +271,9 @@ class TestCriterion14:
     def test_monotonicity_and_y_decay(self, reference_branch):
         basis, br, _, _, _ = reference_branch
         t0 = time.perf_counter()
-        radii = np.linspace(0.05, 0.95, 100)
-        worst_slope = -np.inf
-        for p in br.points:
-            worst_slope = max(
-                worst_slope, float(np.max(spectral.evaluate_deriv(p.u, radii)))
-            )
-        field = extension.ExtensionField(br.points[0].u)
+        worst_slope = checks.max_radial_slope(br.points)
+        rate = checks.y_decay_rate(br.points[0].u)
         sq = math.sqrt(basis.mu[0])
-        ys = np.linspace(2.0, 10.0, 40) / sq
-        vals = np.abs(extension.extension_eval(field, 0.0, ys))
-        rate = -np.polyfit(ys, np.log(vals), 1)[0]
         ok = worst_slope < 1e-8 and rate >= 0.9 * sq
         _report(
             14, "radial monotonicity and extension y-decay", ok,

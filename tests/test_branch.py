@@ -215,6 +215,19 @@ class TestLambdaStar:
         assert hi - lo < 2e-3 * br.lambda_max + 1e-12
         assert lo * 0.999 <= br.lambda_max <= hi * 1.001
 
+    def test_upper_bracket_growth_is_bounded(self, basis, fexp, monkeypatch):
+        # an iteration that never diverges must end the search with an error
+        calls = []
+
+        def always_converges(basis, lam, f, max_iter=4000):
+            calls.append(lam)
+            assert len(calls) < 200, "upper bracket search does not stop"
+            return spectral.zero(basis)
+
+        monkeypatch.setattr(branchsolve, "monotone_iterate", always_converges)
+        with pytest.raises(RuntimeError, match="converges up to"):
+            branchsolve.estimate_lambda_star(basis, fexp, t_max=10.0, t_steps=40)
+
 
 class TestTabulatedBranch:
     def test_tabulated_exp_matches_exact_exp(self, basis, fexp):

@@ -1,4 +1,4 @@
-"""Config parsing, the zero cache, and the command-line front end.
+"""Config parsing and the command-line front end.
 
 CLI tests run small (modes=16..24) problems so the whole file stays fast;
 determinism is asserted byte-for-byte on the persisted branch.csv.
@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from fracgelfand import cache, cli, config, specfun, spectral
+from fracgelfand import cli, config, spectral
 
 
 class TestConfigParsing:
@@ -29,8 +29,11 @@ class TestConfigParsing:
 
     def test_tolerance_key(self):
         cfg = config.parse_config("bracket_tol = 1e-4\n")
-        assert cfg.tolerances["bracket_tol"] == 1e-4
-        assert cfg.tolerances["newton_tol"] == config.DEFAULT_TOLERANCES["newton_tol"]
+        assert cfg.tolerances == {"bracket_tol": 1e-4}
+        # the solvers' own tolerances are not configurable
+        for key in ("newton_tol", "monotone_tol", "eig_tol"):
+            with pytest.raises(config.ConfigError, match="unknown key"):
+                config.parse_config(f"{key} = 1e-3\n")
 
     def test_overrides_beat_file(self):
         cfg = config.parse_config("n=3\nmodes=64\n", overrides={"n": 4, "s": None})
@@ -65,67 +68,6 @@ class TestConfigParsing:
     def test_missing_table_rejected(self):
         with pytest.raises(config.ConfigError, match="not found"):
             config.parse_config("f=table:/nonexistent/f.csv\n")
-
-
-class TestZeroCache:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "zeros.csv"
-        zc = cache.ZeroCache(path)
-        zeros = specfun.bessel_j_zeros(0.5, 6)
-        zc.put(0.5, zeros)
-        again = cache.ZeroCache(path)
-        got = again.get(0.5, 6)
-        assert got is not None
-        np.testing.assert_allclose(got, zeros, rtol=1e-14)
-
-    def test_miss_on_short_prefix(self, tmp_path):
-        zc = cache.ZeroCache(tmp_path / "zeros.csv")
-        zc.put(0.5, specfun.bessel_j_zeros(0.5, 3))
-        assert zc.get(0.5, 5) is None
-
-    def test_hand_edited_entry_rejected(self, tmp_path):
-        path = tmp_path / "zeros.csv"
-        zc = cache.ZeroCache(path)
-        zc.put(0.5, specfun.bessel_j_zeros(0.5, 4))
-        lines = path.read_text().splitlines()
-        # corrupt the second zero far from any true zero
-        nu, k, _ = lines[1].split(",")
-        lines[1] = f"{nu},{k},4.0"
-        path.write_text("\n".join(lines) + "\n")
-        reloaded = cache.ZeroCache(path)
-        assert reloaded.get(0.5, 4) is None
-
-    def test_nearby_entry_polished(self, tmp_path):
-        path = tmp_path / "zeros.csv"
-        zeros = specfun.bessel_j_zeros(0.5, 3)
-        with open(path, "w") as fh:
-            for k, z in enumerate(zeros, start=1):
-                fh.write(f"0.5,{k},{z + 1e-6:.17g}\n")
-        zc = cache.ZeroCache(path)
-        got = zc.get(0.5, 3)
-        assert got is not None
-        np.testing.assert_allclose(got, zeros, rtol=1e-12)
-
-    def test_garbage_file_degrades_to_empty(self, tmp_path):
-        path = tmp_path / "zeros.csv"
-        path.write_text("this,is,not\na,zero,table\n")
-        zc = cache.ZeroCache(path)
-        assert zc.get(0.5, 1) is None
-
-    def test_env_install(self, tmp_path, monkeypatch):
-        path = tmp_path / "zeros.csv"
-        monkeypatch.setenv(cache.ENV_VAR, str(path))
-        try:
-            zc = cache.install_from_env()
-            assert zc is not None
-            specfun.bessel_j_zeros(1.25, 5)
-            assert path.exists()
-            cold = cache.ZeroCache(path).get(1.25, 5)
-            np.testing.assert_allclose(
-                cold, specfun.bessel_j_zeros(1.25, 5), rtol=1e-14
-            )
-        finally:
-            specfun.set_zero_cache(None)
 
 
 ARGS = ["--n", "3", "--s", "0.5", "--modes", "16", "--t-max", "8", "--t-steps", "16"]
@@ -190,6 +132,20 @@ class TestCli:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert set(report) == {"orthonormality", "phi1_identity", "max_principle"}
         assert all(e["status"] == "pass" for e in report.values())
+
+    def test_verify_rejects_unknown_check(self, tmp_path, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("basis built for an unknown check")
+
+        monkeypatch.setattr(cli.spectral, "build_basis", no_build)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["verify", *ARGS, "--out-dir", str(tmp_path),
+                 "--checks", "orthonormality,bogus"]
+            )
+        assert exc.value.code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
 
     def test_verify_detects_injected_fault(self, tmp_path, monkeypatch):
         # perturb the second mode's samples; orthonormality must trip

@@ -12,31 +12,38 @@ def basis3():
     return spectral.build_basis(3, 0.5, 8)
 
 
+def _profile(basis, k, y, deriv=False):
+    """g_k(y), or g_k'(y), at heights y > 0 from the extension's profile tables."""
+    y = np.asarray(y, dtype=float)
+    g, gp = extension._profile_tables(basis, np.atleast_1d(y))
+    return (gp if deriv else g)[k - 1].reshape(y.shape)
+
+
 class TestProfile:
     def test_half_s_closed_form(self, basis3):
         # s = 1/2 collapses to g_k(y) = exp(-sqrt(mu_k) y)
         y = np.geomspace(1e-3, 5.0, 50)
         for k in (1, 3):
             ref = np.exp(-math.sqrt(basis3.mu[k - 1]) * y)
-            np.testing.assert_allclose(extension.profile(basis3, k, y), ref,
+            np.testing.assert_allclose(_profile(basis3, k, y), ref,
                                        rtol=1e-12)
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_normalization_at_origin(self, s):
         # correction term is O(y^{2s}); y = 1e-16 puts it below 1e-7
         b = spectral.build_basis(3, s, 4)
-        assert extension.profile(b, 1, 1e-16) == pytest.approx(1.0, rel=1e-7)
+        assert _profile(b, 1, 1e-16) == pytest.approx(1.0, rel=1e-7)
 
     def test_exponential_decay(self, basis3):
         for k in (1, 2):
             y = 10.0 / math.sqrt(basis3.mu[k - 1])
-            assert extension.profile(basis3, k, y) <= 1e-3
+            assert _profile(basis3, k, y) <= 1e-3
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_nonnegative_nonincreasing(self, s):
         b = spectral.build_basis(3, s, 4)
         y = np.geomspace(1e-4, 10.0, 300)
-        g = extension.profile(b, 2, y)
+        g = _profile(b, 2, y)
         assert np.all(g >= 0)
         assert np.all(np.diff(g) <= 0)
 
@@ -58,7 +65,7 @@ class TestFluxConstant:
         c = extension.flux_constant_analytic(s)
         for k in (1, 2, 5):
             y = 1e-12 / math.sqrt(b.mu[k - 1])
-            flux = -(y ** (1.0 - 2.0 * s)) * extension.profile_deriv(b, k, y)
+            flux = -(y ** (1.0 - 2.0 * s)) * _profile(b, k, y, deriv=True)
             assert flux == pytest.approx(c * b.mu[k - 1] ** s, rel=1e-5)
 
     def test_k_independence_enforced(self):
@@ -80,7 +87,7 @@ class TestExtensionEval:
         field = extension.ExtensionField(spectral.unit(basis3, 1))
         rho, y = 0.3, 0.7
         assert extension.extension_eval(field, rho, y) == pytest.approx(
-            basis3.phi(1, rho) * extension.profile(basis3, 1, y), rel=1e-12
+            basis3.phi_matrix(rho)[0, 0] * _profile(basis3, 1, y), rel=1e-12
         )
 
     def test_vertical_decay_rate(self, basis3):

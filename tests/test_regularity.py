@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fracgelfand import branchsolve, extension, regularity, spectral
+from fracgelfand import extension, regularity, spectral
 
 
 class TestFormulas:
@@ -178,48 +178,3 @@ class TestAConstant:
             )
             assert 0.0 < m < 1.0
             assert m == pytest.approx(ref, abs=1e-4)
-
-
-@pytest.fixture(scope="module")
-def basis():
-    return spectral.build_basis(3, 0.5, 24)
-
-
-class TestWeightedIntegrals:
-    def test_zero_solution_exp(self, basis):
-        # f(0) = 1 so the integral is int_{B_1} rho^{-1} dx = 2 pi for n = 3
-        u = spectral.zero(basis)
-        f = branchsolve.exponential()
-        val = regularity.weighted_f_integral(u, f, 1.0)
-        assert val == pytest.approx(2.0 * math.pi, rel=1e-6)
-
-    def test_beta_zero_is_plain_integral(self, basis):
-        u = spectral.zero(basis)
-        f = branchsolve.exponential()
-        val = regularity.weighted_f_integral(u, f, 0.0)
-        assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-8)
-
-    def test_rejects_nonintegrable_weight(self, basis):
-        with pytest.raises(ValueError):
-            regularity.weighted_f_integral(
-                spectral.zero(basis), branchsolve.exponential(), 3.0
-            )
-
-    def test_step2_bound_on_minimal_solution(self, basis):
-        f = branchsolve.exponential()
-        u = branchsolve.monotone_iterate(basis, 0.8, f)
-        assert regularity.step2_pointwise_bound(u, f, 1.0) < 0.0
-
-
-class TestReport:
-    def test_build(self):
-        basis = spectral.build_basis(3, 0.5, 64)
-        zeta0 = spectral.inv_frac_laplacian(
-            spectral.analyze(basis, lambda r: np.ones_like(r))
-        )
-        rep = regularity.RegularityReport.build(3, 0.5, zeta0)
-        assert rep.critical_dim == pytest.approx(regularity.critical_dimension(0.5))
-        assert rep.decay_bound == pytest.approx(
-            regularity.decay_exponent_bound(3, 0.5)
-        )
-        assert rep.fitted_boundary_rate > 0.0
