@@ -17,17 +17,6 @@ import numpy as np
 from fracgelfand import branchsolve, regularity, spectral
 
 
-def converged_lambda(basis, f, lo=0.1, hi=8.0, iters=40):
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        try:
-            branchsolve.monotone_iterate(basis, mid, f)
-            lo = mid
-        except branchsolve.DivergenceSignal:
-            hi = mid
-    return lo
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=20)
@@ -40,7 +29,8 @@ def main(argv=None):
 
     f = branchsolve.exponential()
     basis = spectral.build_basis(args.n, args.s, args.modes)
-    lam_hat = converged_lambda(basis, f)
+    # 40 halvings of [0.1, 8]
+    lam_hat, _ = branchsolve.picard_bisect(basis, f, 0.1, 8.0, width=1e-11)
     u = branchsolve.monotone_iterate(basis, 0.995 * lam_hat, f)
     uf = spectral.filtered(u)
 

@@ -133,7 +133,7 @@ def residual(u, lam, f):
     basis = u.basis
     fu = f.eval(_nonlinear_nodes(basis, u.c))
     proj = basis.phi_table @ (basis.quad_weights * fu)
-    return spectral.RadialCoeffs(basis, basis.mu ** basis.s * u.c - lam * proj)
+    return spectral.RadialCoeffs(basis, spectral.frac_laplacian(u).c - lam * proj)
 
 
 def _fprime_matrix(basis, u_nodes, f):
@@ -176,6 +176,22 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
         if diff < tol:
             return spectral.RadialCoeffs(basis, c)
     raise DivergenceSignal(lam, max_iter, float(np.max(np.abs(u_nodes))))
+
+
+def picard_bisect(basis, f, lo, hi, width, max_iter=4000):
+    """Halve [lo, hi] around the largest lambda at which monotone_iterate converges.
+
+    While hi - lo > width, the midpoint replaces lo if the iteration
+    converges there and hi if it raises DivergenceSignal.  Returns (lo, hi).
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        try:
+            monotone_iterate(basis, mid, f, max_iter=max_iter)
+            lo = mid
+        except DivergenceSignal:
+            hi = mid
+    return lo, hi
 
 
 def amplitude(u):
@@ -330,8 +346,11 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
     """Two independent brackets for the extremal parameter.
 
     (i) maximum of the continued branch, refined at the fold;
-    (ii) bisection on convergence/divergence of the monotone iteration.
-    The routes must agree to bracket_rel_tol or a RuntimeError is raised.
+    (ii) bisection on convergence/divergence of the monotone iteration
+    (picard_bisect).
+    A RuntimeError is raised when the routes disagree by more than
+    bracket_rel_tol, or when the monotone iteration gives no bracket around
+    the fold.
     Returns (lo, hi, branch).
     """
     t_grid = np.linspace(0.0, t_max, t_steps + 1)[1:]
@@ -345,7 +364,13 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
         monotone_iterate(basis, lo, f, max_iter=max_iter)
     except DivergenceSignal:
         lo = lam_fold * 0.9  # fold estimate slightly high; widen downward
-        monotone_iterate(basis, lo, f, max_iter=max_iter)
+        try:
+            monotone_iterate(basis, lo, f, max_iter=max_iter)
+        except DivergenceSignal as exc:
+            raise RuntimeError(
+                f"monotone iteration diverges at lambda={lo}, "
+                f"0.9 times the fold estimate {lam_fold}"
+            ) from exc
     # grow hi by 5 % until the iteration diverges, at most to 1.05^60 ~ 19x
     for _ in range(60):
         try:
@@ -358,13 +383,7 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
             f"monotone iteration converges up to lambda={hi / 1.05}, "
             f"1.05^60 times the fold estimate {lam_fold}"
         )
-    while hi - lo > bracket_rel_tol * lam_fold:
-        mid = 0.5 * (lo + hi)
-        try:
-            monotone_iterate(basis, mid, f, max_iter=max_iter)
-            lo = mid
-        except DivergenceSignal:
-            hi = mid
+    lo, hi = picard_bisect(basis, f, lo, hi, bracket_rel_tol * lam_fold, max_iter)
     if not (lo - bracket_rel_tol * lam_fold <= lam_fold <= hi + bracket_rel_tol * lam_fold):
         raise RuntimeError(
             f"fold estimate {lam_fold} inconsistent with bisection bracket "

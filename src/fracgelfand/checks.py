@@ -33,8 +33,8 @@ def energy_identity_error(n, s, rng):
     """Relative gap between the extension energy of a random 8-mode trace and
     c(s) ||u||_H^2."""
     basis = spectral.build_basis(n, s, 8, 64)
-    u = spectral.coeffs(basis, rng.normal(size=8))
-    e = extension.extension_energy(extension.ExtensionField(u))
+    u = spectral.RadialCoeffs(basis, rng.normal(size=8))
+    e = extension.extension_energy(u)
     ref = extension.flux_constant_analytic(s) * spectral.h_norm(u) ** 2
     return abs(e - ref) / ref
 
@@ -108,7 +108,7 @@ def weighted_key_ratio(br):
         alpha=1.0 + math.sqrt(n - 1.0) - 0.1, epsilon=0.01, R=5.0
     )
     vals = [
-        extension.weighted_vrho_integral(extension.ExtensionField(p.u), spec)
+        extension.weighted_vrho_integral(p.u, spec)
         for p in (br.points[idx - 1], br.points[idx])
     ]
     return vals[1] / vals[0] if vals[0] else 1.0
@@ -119,9 +119,7 @@ def stability_margin(points):
     spec = extension.CutoffSpec(alpha=1.0, epsilon=0.05, R=3.0)
     worst = np.inf
     for p in points:
-        lhs, rhs = extension.stability_weighted_inequality(
-            extension.ExtensionField(p.u), spec
-        )
+        lhs, rhs = extension.stability_weighted_inequality(p.u, spec)
         worst = min(worst, lhs - rhs)
     return worst
 
@@ -129,7 +127,7 @@ def stability_margin(points):
 def y_decay_rate(u):
     """Fitted exponential rate of |v(0, y)| over y sqrt(mu_1) in [2, 10]."""
     ys = np.linspace(2.0, 10.0, 40) / math.sqrt(u.basis.mu[0])
-    vals = np.abs(extension.extension_eval(extension.ExtensionField(u), 0.0, ys))
+    vals = np.abs(extension.extension_eval(u, 0.0, ys))
     return -np.polyfit(ys, np.log(vals), 1)[0]
 
 

@@ -39,17 +39,6 @@ class CutoffSpec:
             raise ValueError("epsilon and R must be positive")
 
 
-@dataclass(frozen=True)
-class ExtensionField:
-    """Canonical extension of a radial trace."""
-
-    u: spectral.RadialCoeffs
-
-    @property
-    def basis(self):
-        return self.u.basis
-
-
 def flux_constant_analytic(s):
     """Closed-form flux constant 2^(1-2s) * Gamma(1-s) / Gamma(s)."""
     if not (0 < s < 1):
@@ -108,15 +97,15 @@ def flux_constant(s, k_indices=(1, 2, 5), rel_tol=1e-5):
     return float(values.mean())
 
 
-def extension_eval(field, rho, y):
-    """v(rho, y) = sum_k b_k phi_k(rho) g_k(y); equals the trace at y = 0."""
-    basis = field.basis
+def extension_eval(u, rho, y):
+    """v(rho, y) = sum_k b_k phi_k(rho) g_k(y) for the trace u; equals u at y = 0."""
+    basis = u.basis
     rho = np.asarray(rho, dtype=float)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     phi = basis.phi_matrix(np.atleast_1d(rho))
     g, _ = _profile_tables(basis, np.where(y_arr > 0, y_arr, 1.0))
     g = np.where(y_arr[None, :] > 0, g, 1.0)
-    vals = np.einsum("k,kr,ky->ry", field.u.c, phi, g)
+    vals = np.einsum("k,kr,ky->ry", u.c, phi, g)
     if np.ndim(rho) == 0 and np.ndim(y) == 0:
         return float(vals[0, 0])
     return vals.squeeze()
@@ -132,28 +121,25 @@ def vertical_grid(basis, panels=48, order=10, y_max=None):
     if y_max is None:
         y_max = 20.0 / math.sqrt(basis.mu[0])
     p = 1.0 / (1.0 - s)
-    x, w = np.polynomial.legendre.leggauss(order)
     # cubic panel grading toward y=0 where v_y carries the y^(2s-1) layer
     edges = np.linspace(0.0, 1.0, panels + 1) ** 3
-    t = np.concatenate(
-        [0.5 * (x + 1) * (b - a) + a for a, b in zip(edges[:-1], edges[1:])]
-    )
-    tw = np.concatenate([0.5 * w * (b - a) for a, b in zip(edges[:-1], edges[1:])])
+    t, tw = map(np.ravel, spectral._gauss_rule(order, edges[:-1], edges[1:]))
     y = y_max * t ** p
     wy = y_max ** (2.0 - 2.0 * s) / (1.0 - s) * t * tw
     return y, wy
 
 
-def extension_energy(field, panels=48, order=10, y_max=None):
-    """Weighted Dirichlet energy int_C y^(1-2s) |grad v|^2 dx dy.
+def extension_energy(u, panels=48, order=10, y_max=None):
+    """Weighted Dirichlet energy int_C y^(1-2s) |grad v|^2 dx dy of the
+    extension v of the trace u.
 
     Tensorized quadrature: the basis radial rule times the graded vertical
     rule.  Softly checks against the spectral identity c(s) * ||u||_H^2.
     """
-    basis = field.basis
+    basis = u.basis
     y, wy = vertical_grid(basis, panels=panels, order=order, y_max=y_max)
     g, gp = _profile_tables(basis, y)
-    c = field.u.c
+    c = u.c
     # radial integrals against the volume weight are diagonal by orthonormality
     # only through phi; use explicit node tables to stay an independent route.
     phi = basis.phi_table
@@ -196,31 +182,29 @@ def _cutoff_parts(spec, rho, y, h=1e-6):
     return eta, d_rho, d_y
 
 
-def _vrho_table(field, rho, y):
-    basis = field.basis
-    g, _ = _profile_tables(basis, y)
-    dphi = basis.phi_prime_matrix(rho)
-    return (field.u.c[:, None] * dphi).T @ g
+def _vrho_table(u, rho, y):
+    g, _ = _profile_tables(u.basis, y)
+    dphi = u.basis.phi_prime_matrix(rho)
+    return (u.c[:, None] * dphi).T @ g
 
 
-def weighted_vrho_integral(field, spec, n_rho=400, order=10):
-    """int_{rho <= 1/2} y^(1-2s) v_rho^2 rho^(-2 alpha) dx dy.
+def weighted_vrho_integral(u, spec, n_rho=400, order=10):
+    """int_{rho <= 1/2} y^(1-2s) v_rho^2 rho^(-2 alpha) dx dy for the
+    extension v of the trace u.
 
     Radial quadrature is graded toward the axis (v_rho = O(rho) keeps the
     integrand integrable for alpha < 1 + sqrt(n-1)); stability under
     refinement is checked and a divergence flag raised otherwise.
     """
-    basis = field.basis
+    basis = u.basis
     vals = []
     for m in (n_rho, 2 * n_rho):
-        x, w = np.polynomial.legendre.leggauss(m)
-        t = 0.5 * (x + 1.0)
-        tw = 0.5 * w
+        t, tw = spectral._gauss_rule(m, 0.0, 1.0)
         # rho = 0.5 t^4 clusters nodes at the axis
         rho = 0.5 * t ** 4
         drho = 0.5 * 4.0 * t ** 3 * tw
         y, wy = vertical_grid(basis, panels=32, order=order)
-        v_rho = _vrho_table(field, rho, y)
+        v_rho = _vrho_table(u, rho, y)
         wr = (
             spectral.sphere_area(basis.n)
             * rho ** (basis.n - 1.0 - 2.0 * spec.alpha)
@@ -234,20 +218,20 @@ def weighted_vrho_integral(field, spec, n_rho=400, order=10):
     return vals[1]
 
 
-def stability_weighted_inequality(field, spec, n_rho=600, order=10):
-    """Both sides of the weighted stability inequality for the cutoff eta.
+def stability_weighted_inequality(u, spec, n_rho=600, order=10):
+    """Both sides of the weighted stability inequality for the extension v of
+    the trace u and the cutoff eta.
 
     Returns (lhs, rhs) with lhs = int y^(1-2s) v_rho^2 |grad eta|^2 and
     rhs = (n-1) int y^(1-2s) v_rho^2 eta^2 / rho^2; semi-stability of the
     trace forces lhs >= rhs.
     """
-    basis = field.basis
-    x, w = np.polynomial.legendre.leggauss(n_rho)
-    t = 0.5 * (x + 1.0)
+    basis = u.basis
+    t, tw = spectral._gauss_rule(n_rho, 0.0, 1.0)
     rho = t ** 3          # graded toward the axis, covers (0, 1)
-    drho = 3.0 * t ** 2 * 0.5 * w
+    drho = 3.0 * t ** 2 * tw
     y, wy = vertical_grid(basis, panels=48, order=order, y_max=spec.R + 1.5)
-    v_rho = _vrho_table(field, rho, y)
+    v_rho = _vrho_table(u, rho, y)
     eta, eta_r, eta_y = _cutoff_parts(spec, rho, y)
     wr = spectral.sphere_area(basis.n) * rho ** (basis.n - 1.0) * drho
     lhs = float(wr @ (v_rho ** 2 * (eta_r ** 2 + eta_y ** 2)) @ wy)
@@ -277,17 +261,15 @@ def _riesz_samples(n, s, x, n_t, n_theta):
     None of this depends on h.
     """
     # integral = int_0^{1+x} t^(2s-1) * shell(t) dt, split at the tangency radii
-    xt, wt = np.polynomial.legendre.leggauss(n_t)
     breaks = sorted({0.0, max(1.0 - x, 0.0), 1.0 + x})
     ts, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b - a < 1e-14:
             continue
         # tau = t^(2s) on each piece removes the endpoint weight at t=0
-        ta, tb = a ** (2.0 * s), b ** (2.0 * s)
-        tau = 0.5 * (xt + 1.0) * (tb - ta) + ta
+        tau, wtau = spectral._gauss_rule(n_t, a ** (2.0 * s), b ** (2.0 * s))
         ts.append(tau ** (1.0 / (2.0 * s)))
-        ws.append(0.5 * wt * (tb - ta) / (2.0 * s))
+        ws.append(wtau / (2.0 * s))
     t, w = np.concatenate(ts), np.concatenate(ws)
     if x == 0.0:
         inside = t < 1.0
@@ -298,10 +280,8 @@ def _riesz_samples(n, s, x, n_t, n_theta):
     mu_star = (1.0 - x * x - t * t) / (2.0 * x * t)
     keep = mu_star > -1.0  # the other shells lie entirely outside B_1
     t, w = t[keep, None], w[keep, None]
-    theta_lo = np.arccos(np.clip(mu_star[keep], -1.0, 1.0))[:, None]
-    xg, wg = np.polynomial.legendre.leggauss(n_theta)
-    theta = 0.5 * (xg + 1.0) * (math.pi - theta_lo) + theta_lo
-    wth = 0.5 * wg * (math.pi - theta_lo)
+    theta_lo = np.arccos(np.clip(mu_star[keep], -1.0, 1.0))
+    theta, wth = spectral._gauss_rule(n_theta, theta_lo, math.pi)
     r = np.sqrt(np.maximum(x * x + t * t + 2.0 * x * t * np.cos(theta), 0.0))
     area_factor = 2.0 if n == 2 else spectral.sphere_area(n - 1)  # |S^0| = 2
     weights = w * area_factor * wth * np.sin(theta) ** (n - 2)

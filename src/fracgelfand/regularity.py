@@ -64,17 +64,6 @@ def boundary_decay_rate(u, rho_lo=0.99, rho_hi=0.9999, n_pts=60):
     return float(slope)
 
 
-def _panel_nodes(edges, order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes = np.concatenate(
-        [0.5 * (x + 1.0) * (b - a) + a for a, b in zip(edges[:-1], edges[1:])]
-    )
-    weights = np.concatenate(
-        [0.5 * w * (b - a) for a, b in zip(edges[:-1], edges[1:])]
-    )
-    return nodes, weights
-
-
 def _a_theta_integral(n, s, r, y):
     """Innermost angular integral of the A-kernel, vectorized over radii.
 
@@ -119,19 +108,25 @@ def a_constant(n, s, beta, rel_tol=1e-4, order=8, max_level=4):
         edges_r = np.unique(
             np.concatenate([0.5 * g, 1.0 - 0.5 * g[::-1], 1.0 + 3.0 * g])
         )
-        r_nodes, r_w = _panel_nodes(edges_r, order)
+        r_nodes, r_w = map(
+            np.ravel, spectral._gauss_rule(order, edges_r[:-1], edges_r[1:])
+        )
         # map the tail (4, inf) via r = 4/t; the transformed density carries
         # a t^(beta-1) factor at t=0, absorbed by power grading of the edges
         grading = min(max(1.0, 3.0 / beta), 24.0)
         t_edges = np.linspace(0.0, 1.0, m + 1) ** grading
-        t_nodes, t_w = _panel_nodes(t_edges, order)
+        t_nodes, t_w = map(
+            np.ravel, spectral._gauss_rule(order, t_edges[:-1], t_edges[1:])
+        )
         tail_r = 4.0 / t_nodes
         tail_w = 4.0 / t_nodes ** 2 * t_w
         r_all = np.concatenate([r_nodes, tail_r])
         w_all = np.concatenate([r_w, tail_w])
         # vertical: graded toward y=0, tail via y = 4/t
         edges_y = 4.0 * np.linspace(0.0, 1.0, 2 * m + 1) ** 3
-        y_nodes, y_w = _panel_nodes(edges_y, order)
+        y_nodes, y_w = map(
+            np.ravel, spectral._gauss_rule(order, edges_y[:-1], edges_y[1:])
+        )
         y_all = np.concatenate([y_nodes, 4.0 / t_nodes])
         wy_all = np.concatenate([y_w, tail_w])
         total = 0.0

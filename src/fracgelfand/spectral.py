@@ -91,6 +91,19 @@ def _radial_kernel(nu, lam, rho):
     return out
 
 
+def _gauss_rule(order, a, b):
+    """Gauss-Legendre nodes and weights of the given order on [a, b].
+
+    a and b broadcast: with arrays of shape S the result has shape
+    S + (order,), one rule per interval (a panel rule passes edges[:-1] and
+    edges[1:] and ravels).
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    return 0.5 * (x + 1.0) * (b - a) + a, 0.5 * w * (b - a)
+
+
 def build_basis(n, s, K, quad_order=None):
     """Construct the K-mode radial eigensystem with a Gauss-Legendre radial rule.
 
@@ -117,9 +130,8 @@ def build_basis(n, s, K, quad_order=None):
     #                    = N^2 * area * J_{nu+1}(j)^2 / 2
     norm_consts = np.sqrt(2.0 / area) / np.abs(special.jv(nu + 1.0, roots))
 
-    x, w = np.polynomial.legendre.leggauss(quad_order)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w * area * nodes ** (n - 1)
+    nodes, w = _gauss_rule(quad_order, 0.0, 1.0)
+    weights = w * area * nodes ** (n - 1)
 
     phi_table = norm_consts[:, None] * _radial_kernel(
         nu, roots[:, None], nodes[None, :]
@@ -134,14 +146,6 @@ def build_basis(n, s, K, quad_order=None):
         quad_weights=weights,
         phi_table=phi_table,
     )
-
-
-def coeffs(basis, c):
-    return RadialCoeffs(basis, np.asarray(c, dtype=float))
-
-
-def zero(basis):
-    return RadialCoeffs(basis, np.zeros(basis.K))
 
 
 def unit(basis, k):
@@ -178,11 +182,6 @@ def evaluate_deriv(u, rho):
     rho = np.asarray(rho, dtype=float)
     vals = u.c @ u.basis.phi_prime_matrix(rho)
     return float(vals[0]) if rho.ndim == 0 else vals
-
-
-def node_values(u):
-    """Values of u at the basis quadrature nodes."""
-    return u.c @ u.basis.phi_table
 
 
 def analyze(basis, samples):

@@ -59,7 +59,8 @@ class TestNonlinearity:
 
 class TestResidual:
     def test_zero_solution_zero_lambda(self, basis, fexp):
-        r = branchsolve.residual(spectral.zero(basis), 0.0, fexp)
+        zero = spectral.RadialCoeffs(basis, np.zeros(basis.K))
+        r = branchsolve.residual(zero, 0.0, fexp)
         assert np.all(r.c == 0.0)
 
     def test_eigenfunction_linear_part(self, basis, fexp):
@@ -145,14 +146,16 @@ class TestNewton:
 
 class TestStability:
     def test_zero_solution_zero_lambda(self, basis, fexp):
-        nu = branchsolve.stability_eigenvalue(spectral.zero(basis), 0.0, fexp)
+        zero = spectral.RadialCoeffs(basis, np.zeros(basis.K))
+        nu = branchsolve.stability_eigenvalue(zero, 0.0, fexp)
         assert nu == pytest.approx(basis.mu[0] ** basis.s, rel=1e-12)
 
     def test_zero_solution_shifts_linearly(self, basis, fexp):
         # f'(0) = 1 for exp, so the operator is diag(mu^s) - lam * (projection);
         # its bottom eigenvalue at u = 0 is mu_1^s - lam
         lam = 0.7
-        nu = branchsolve.stability_eigenvalue(spectral.zero(basis), lam, fexp)
+        zero = spectral.RadialCoeffs(basis, np.zeros(basis.K))
+        nu = branchsolve.stability_eigenvalue(zero, lam, fexp)
         assert nu == pytest.approx(basis.mu[0] ** basis.s - lam, rel=1e-10)
 
     def test_minimal_branch_is_stable(self, basis, fexp):
@@ -222,11 +225,30 @@ class TestLambdaStar:
         def always_converges(basis, lam, f, max_iter=4000):
             calls.append(lam)
             assert len(calls) < 200, "upper bracket search does not stop"
-            return spectral.zero(basis)
+            return spectral.RadialCoeffs(basis, np.zeros(basis.K))
 
         monkeypatch.setattr(branchsolve, "monotone_iterate", always_converges)
         with pytest.raises(RuntimeError, match="converges up to"):
             branchsolve.estimate_lambda_star(basis, fexp, t_max=10.0, t_steps=40)
+
+
+class TestPicardBisect:
+    def test_halves_to_the_width(self, monkeypatch):
+        # a stand-in iteration that converges exactly below lambda = 3.25
+        calls = []
+
+        def threshold(basis, lam, f, max_iter=4000):
+            calls.append(lam)
+            if lam >= 3.25:
+                raise branchsolve.DivergenceSignal(lam, 1, float("inf"))
+
+        monkeypatch.setattr(branchsolve, "monotone_iterate", threshold)
+        lo, hi = branchsolve.picard_bisect(None, None, 0.1, 8.0, width=1e-11)
+        # 7.9 * 2^-39 > 1e-11 >= 7.9 * 2^-40
+        assert len(calls) == 40
+        assert lo < 3.25 <= hi
+        assert hi - lo <= 1e-11
+        assert branchsolve.picard_bisect(None, None, 1.0, 1.5, width=0.5) == (1.0, 1.5)
 
 
 class TestTabulatedBranch:

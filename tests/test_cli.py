@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from fracgelfand import cli, config, spectral
+from fracgelfand import branchsolve, cli, config, spectral
 
 
 class TestConfigParsing:
@@ -90,6 +90,20 @@ class TestCli:
         cli.main(["branch", *ARGS, "--out-dir", str(b)])
         assert (a / "branch.csv").read_bytes() == (b / "branch.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+    def test_branch_records_lower_bracket_divergence(self, tmp_path, monkeypatch):
+        # with no lambda at which the iteration converges there is no bracket;
+        # the run still writes both files and names the reason
+        def always_diverges(basis, lam, f, max_iter=4000):
+            raise branchsolve.DivergenceSignal(lam, 1, float("inf"))
+
+        monkeypatch.setattr(branchsolve, "monotone_iterate", always_diverges)
+        rc = cli.main(["branch", *ARGS, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "monotone iteration diverges at lambda=" in summary["error"]
+        assert summary["lambda_star_lo"] is None
+        assert len((tmp_path / "branch.csv").read_text().splitlines()) > 6
 
     def test_lambda_star_prints_bracket(self, tmp_path, capsys):
         rc = cli.main(["lambda-star", *ARGS, "--out-dir", str(tmp_path)])

@@ -76,26 +76,23 @@ class TestFluxConstant:
 class TestExtensionEval:
     def test_trace_property(self, basis3):
         rng = np.random.default_rng(7)
-        u = spectral.coeffs(basis3, rng.normal(size=8))
-        field = extension.ExtensionField(u)
+        u = spectral.RadialCoeffs(basis3, rng.normal(size=8))
         for rho in (0.0, 0.4, 0.9):
-            assert extension.extension_eval(field, rho, 0.0) == pytest.approx(
+            assert extension.extension_eval(u, rho, 0.0) == pytest.approx(
                 spectral.evaluate(u, rho), abs=1e-10
             )
 
     def test_single_mode_separable(self, basis3):
-        field = extension.ExtensionField(spectral.unit(basis3, 1))
         rho, y = 0.3, 0.7
-        assert extension.extension_eval(field, rho, y) == pytest.approx(
+        assert extension.extension_eval(spectral.unit(basis3, 1), rho, y) == pytest.approx(
             basis3.phi_matrix(rho)[0, 0] * _profile(basis3, 1, y), rel=1e-12
         )
 
     def test_vertical_decay_rate(self, basis3):
         rng = np.random.default_rng(1)
-        u = spectral.coeffs(basis3, np.abs(rng.normal(size=8)))
-        field = extension.ExtensionField(u)
+        u = spectral.RadialCoeffs(basis3, np.abs(rng.normal(size=8)))
         y = np.linspace(1.0, 10.0, 40)
-        vals = np.abs(extension.extension_eval(field, 0.0, y))
+        vals = np.abs(extension.extension_eval(u, 0.0, y))
         rate = -np.polyfit(y, np.log(vals), 1)[0]
         assert rate >= 0.9 * math.sqrt(basis3.mu[0])
 
@@ -105,29 +102,25 @@ class TestEnergy:
     def test_energy_identity_random_modes(self, n, s):
         b = spectral.build_basis(n, s, 8, 64)
         rng = np.random.default_rng(42)
-        u = spectral.coeffs(b, rng.normal(size=8))
-        e = extension.extension_energy(extension.ExtensionField(u))
+        u = spectral.RadialCoeffs(b, rng.normal(size=8))
+        e = extension.extension_energy(u)
         ref = extension.flux_constant_analytic(s) * spectral.h_norm(u) ** 2
         assert e == pytest.approx(ref, rel=1e-4)
 
     def test_zero_trace(self, basis3):
-        assert extension.extension_energy(
-            extension.ExtensionField(spectral.zero(basis3))
-        ) == 0.0
+        zero = spectral.RadialCoeffs(basis3, np.zeros(basis3.K))
+        assert extension.extension_energy(zero) == 0.0
 
     def test_additivity_over_modes(self, basis3):
-        f1 = extension.ExtensionField(spectral.unit(basis3, 1))
-        f2 = extension.ExtensionField(spectral.unit(basis3, 2))
-        both = extension.ExtensionField(
-            spectral.coeffs(basis3, spectral.unit(basis3, 1).c + spectral.unit(basis3, 2).c)
-        )
+        u1, u2 = spectral.unit(basis3, 1), spectral.unit(basis3, 2)
+        both = spectral.RadialCoeffs(basis3, u1.c + u2.c)
         assert extension.extension_energy(both) == pytest.approx(
-            extension.extension_energy(f1) + extension.extension_energy(f2),
+            extension.extension_energy(u1) + extension.extension_energy(u2),
             rel=1e-4,
         )
 
     def test_single_mode_identity(self, basis3):
-        e = extension.extension_energy(extension.ExtensionField(spectral.unit(basis3, 1)))
+        e = extension.extension_energy(spectral.unit(basis3, 1))
         assert e == pytest.approx(
             extension.flux_constant_analytic(0.5) * basis3.mu[0] ** 0.5, rel=1e-4
         )
@@ -136,22 +129,20 @@ class TestEnergy:
 class TestWeightedIntegrals:
     def test_zero_field(self, basis3):
         spec = extension.CutoffSpec(alpha=1.2, epsilon=0.05, R=3.0)
-        field = extension.ExtensionField(spectral.zero(basis3))
-        assert extension.weighted_vrho_integral(field, spec) == 0.0
-        assert extension.stability_weighted_inequality(field, spec) == (0.0, 0.0)
+        zero = spectral.RadialCoeffs(basis3, np.zeros(basis3.K))
+        assert extension.weighted_vrho_integral(zero, spec) == 0.0
+        assert extension.stability_weighted_inequality(zero, spec) == (0.0, 0.0)
 
     def test_finite_for_admissible_alpha(self, basis3):
-        field = extension.ExtensionField(spectral.unit(basis3, 1))
         spec = extension.CutoffSpec(
             alpha=1.0 + math.sqrt(2.0) - 0.1, epsilon=0.05, R=3.0
         )
-        val = extension.weighted_vrho_integral(field, spec)
+        val = extension.weighted_vrho_integral(spectral.unit(basis3, 1), spec)
         assert np.isfinite(val) and val > 0
 
     def test_degenerate_cutoff_vanishes(self, basis3):
-        field = extension.ExtensionField(spectral.unit(basis3, 1))
         spec = extension.CutoffSpec(alpha=1.0, epsilon=0.75, R=3.0)
-        lhs, rhs = extension.stability_weighted_inequality(field, spec)
+        lhs, rhs = extension.stability_weighted_inequality(spectral.unit(basis3, 1), spec)
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -177,24 +168,25 @@ class TestPoissonConstant:
 
 class TestRieszPotential:
     def test_zero_rhs(self, basis3):
-        assert extension.riesz_potential_radial(spectral.zero(basis3), 0.3) == 0.0
+        zero = spectral.RadialCoeffs(basis3, np.zeros(basis3.K))
+        assert extension.riesz_potential_radial(zero, 0.3) == 0.0
 
     def test_linearity(self, basis3):
         rng = np.random.default_rng(5)
         c = np.abs(rng.normal(size=8))
-        one = extension.riesz_potential_radial(spectral.coeffs(basis3, c), 0.4)
-        two = extension.riesz_potential_radial(spectral.coeffs(basis3, 2.0 * c), 0.4)
+        one = extension.riesz_potential_radial(spectral.RadialCoeffs(basis3, c), 0.4)
+        two = extension.riesz_potential_radial(spectral.RadialCoeffs(basis3, 2.0 * c), 0.4)
         assert two == pytest.approx(2.0 * one, rel=1e-10)
 
     def test_single_function_returns_float(self, basis3):
-        h = spectral.coeffs(basis3, np.ones(8))
+        h = spectral.RadialCoeffs(basis3, np.ones(8))
         assert type(extension.riesz_potential_radial(h, 0.4)) is float
 
     @pytest.mark.parametrize("n", [2, 3])  # n = 2 takes the |S^0| = 2 branch
     def test_batched_matches_single_calls(self, n):
         b = spectral.build_basis(n, 0.5, 16)
         rng = np.random.default_rng(n)
-        hs = [spectral.coeffs(b, rng.normal(size=16)) for _ in range(4)]
+        hs = [spectral.RadialCoeffs(b, rng.normal(size=16)) for _ in range(4)]
         for x in (0.0, 0.4, 0.9):
             batched = extension.riesz_potential_radial(hs, x)
             single = [extension.riesz_potential_radial(h, x) for h in hs]
