@@ -39,6 +39,14 @@ class NewtonError(RuntimeError):
     pass
 
 
+class BranchError(RuntimeError):
+    """A failure after the branch walk; `branch` holds the points walked."""
+
+    def __init__(self, message, branch):
+        super().__init__(message)
+        self.branch = branch
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Reaction term f with derivative; f(0) > 0, f nondecreasing, superlinear."""
@@ -92,6 +100,7 @@ class BranchPoint:
 class Branch:
     points: list[BranchPoint] = field(default_factory=list)
     fold_index: Optional[int] = None
+    stop: str = "grid end"        # why the walk stopped: "grid end" or Newton's error
 
     @property
     def lambda_max(self):
@@ -273,9 +282,11 @@ def newton_solve(basis, t, f, guess=None, tol=NEWTON_TOL, max_iter=60):
 def continue_branch(basis, t_grid, f, refine_fold=True, tol=NEWTON_TOL):
     """Walk the branch over a strictly increasing amplitude grid.
 
-    Secant predictor between consecutive solves; the fold is marked where
-    lambda first decreases and, if requested, refined by maximizing lambda(t)
-    and inserted as an extra branch point.
+    Secant predictor between consecutive solves; the walk stops at the first
+    NewtonError, whose message (naming its t) becomes `Branch.stop`.  The
+    fold is marked where lambda first decreases and, if requested, refined by
+    maximizing lambda(t) and inserted as an extra branch point; a failed
+    refinement raises BranchError carrying the walked branch.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
@@ -296,7 +307,8 @@ def continue_branch(basis, t_grid, f, refine_fold=True, tol=NEWTON_TOL):
             guess = (spectral.RadialCoeffs(basis, c_pred), lam_pred)
         try:
             point = newton_solve(basis, float(t), f, guess=guess, tol=tol)
-        except NewtonError:
+        except NewtonError as exc:
+            br.stop = str(exc)
             break
         br.points.append(point)
         prev2, prev = prev, point
@@ -306,7 +318,10 @@ def continue_branch(basis, t_grid, f, refine_fold=True, tol=NEWTON_TOL):
             br.fold_index = i - 1
             break
     if refine_fold and br.fold_index not in (None, 0):
-        _refine_fold(basis, br, f, tol)
+        try:
+            _refine_fold(basis, br, f, tol)
+        except NewtonError as exc:
+            raise BranchError(f"fold refinement failed: {exc}", br) from exc
     return br
 
 
@@ -348,15 +363,15 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
     (i) maximum of the continued branch, refined at the fold;
     (ii) bisection on convergence/divergence of the monotone iteration
     (picard_bisect).
-    A RuntimeError is raised when the routes disagree by more than
-    bracket_rel_tol, or when the monotone iteration gives no bracket around
-    the fold.
+    A BranchError, carrying the continued branch, is raised when the fold
+    refinement fails, when the routes disagree by more than bracket_rel_tol,
+    or when the monotone iteration gives no bracket around the fold.
     Returns (lo, hi, branch).
     """
     t_grid = np.linspace(0.0, t_max, t_steps + 1)[1:]
     br = continue_branch(basis, t_grid, f)
     if br.fold_index is None:
-        raise RuntimeError("no fold detected; increase t_max")
+        raise BranchError("no fold detected; increase t_max", br)
     lam_fold = br.lambda_max
 
     lo, hi = lam_fold * (1.0 - 2.0 * bracket_rel_tol), lam_fold * (1.0 + 0.05)
@@ -367,9 +382,9 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
         try:
             monotone_iterate(basis, lo, f, max_iter=max_iter)
         except DivergenceSignal as exc:
-            raise RuntimeError(
+            raise BranchError(
                 f"monotone iteration diverges at lambda={lo}, "
-                f"0.9 times the fold estimate {lam_fold}"
+                f"0.9 times the fold estimate {lam_fold}", br
             ) from exc
     # grow hi by 5 % until the iteration diverges, at most to 1.05^60 ~ 19x
     for _ in range(60):
@@ -379,15 +394,15 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
             break
         hi *= 1.05
     else:
-        raise RuntimeError(
+        raise BranchError(
             f"monotone iteration converges up to lambda={hi / 1.05}, "
-            f"1.05^60 times the fold estimate {lam_fold}"
+            f"1.05^60 times the fold estimate {lam_fold}", br
         )
     lo, hi = picard_bisect(basis, f, lo, hi, bracket_rel_tol * lam_fold, max_iter)
     if not (lo - bracket_rel_tol * lam_fold <= lam_fold <= hi + bracket_rel_tol * lam_fold):
-        raise RuntimeError(
+        raise BranchError(
             f"fold estimate {lam_fold} inconsistent with bisection bracket "
-            f"[{lo}, {hi}]"
+            f"[{lo}, {hi}]", br
         )
     return lo, hi, br
 

@@ -66,6 +66,7 @@ def run_branch(cfg):
         "lambda_star_hi": None,
         "fold_t": None,
         "extremal_u0": None,
+        "branch_stop": None,
         "error": None,
     }
     try:
@@ -81,11 +82,10 @@ def run_branch(cfg):
         fold = branchsolve.extremal_solution(br)
         summary["fold_t"] = fold.t
         summary["extremal_u0"] = branchsolve.amplitude(fold.u)
-    except (branchsolve.NewtonError, RuntimeError) as exc:
+    except branchsolve.BranchError as exc:
         summary["error"] = str(exc)
-        br = branchsolve.continue_branch(
-            basis, np.linspace(0.0, cfg.t_max, cfg.t_steps + 1)[1:], f
-        )
+        br = exc.branch
+    summary["branch_stop"] = br.stop
 
     lines = ["t,lambda,u0,nu1,h_norm,residual"]
     for p in br.points:

@@ -96,9 +96,12 @@ def _gauss_rule(order, a, b):
 
     a and b broadcast: with arrays of shape S the result has shape
     S + (order,), one rule per interval (a panel rule passes edges[:-1] and
-    edges[1:] and ravels).
+    edges[1:] and ravels).  The rule on [-1, 1] is
+    `scipy.special.roots_legendre`: a tridiagonal (Golub-Welsch) eigenproblem
+    polished by Newton, where numpy's `leggauss` takes the eigenvalues of a
+    dense companion matrix, O(order^3) time and an order x order temporary.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = special.roots_legendre(order)
     a = np.asarray(a, dtype=float)[..., None]
     b = np.asarray(b, dtype=float)[..., None]
     return 0.5 * (x + 1.0) * (b - a) + a, 0.5 * w * (b - a)

@@ -73,6 +73,18 @@ class TestConfigParsing:
 ARGS = ["--n", "3", "--s", "0.5", "--modes", "16", "--t-max", "8", "--t-steps", "16"]
 
 
+def _count_walks(monkeypatch):
+    """Count the calls of continue_branch (one per walk of the branch)."""
+    real, walks = branchsolve.continue_branch, []
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(branchsolve, "continue_branch", counted)
+    return walks
+
+
 class TestCli:
     def test_branch_writes_outputs(self, tmp_path):
         rc = cli.main(["branch", *ARGS, "--out-dir", str(tmp_path)])
@@ -104,6 +116,54 @@ class TestCli:
         assert "monotone iteration diverges at lambda=" in summary["error"]
         assert summary["lambda_star_lo"] is None
         assert len((tmp_path / "branch.csv").read_text().splitlines()) > 6
+
+    def test_branch_walks_once_when_iteration_diverges(self, tmp_path, monkeypatch):
+        def always_diverges(basis, lam, f, max_iter=4000):
+            raise branchsolve.DivergenceSignal(lam, 1, float("inf"))
+
+        walks = _count_walks(monkeypatch)
+        monkeypatch.setattr(branchsolve, "monotone_iterate", always_diverges)
+        assert cli.main(["branch", *ARGS, "--out-dir", str(tmp_path)]) == 1
+        assert len(walks) == 1
+        assert len((tmp_path / "branch.csv").read_text().splitlines()) > 6
+
+    def test_branch_records_failed_fold_refinement(self, tmp_path, monkeypatch):
+        # the walked points are written once, and the summary names the failure
+        def fails(basis, br, f, tol):
+            raise branchsolve.NewtonError("Newton did not converge at t=1.5 (injected)")
+
+        walks = _count_walks(monkeypatch)
+        monkeypatch.setattr(branchsolve, "_refine_fold", fails)
+        assert cli.main(["branch", *ARGS, "--out-dir", str(tmp_path)]) == 1
+        assert len(walks) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["error"] == (
+            "fold refinement failed: Newton did not converge at t=1.5 (injected)"
+        )
+        assert summary["lambda_star_lo"] is None
+        # the walk passes the fold (t = 1.53) and stops at t = 3.5, unrefined
+        ts = [float(r.split(",")[0]) for r in
+              (tmp_path / "branch.csv").read_text().splitlines()[1:]]
+        assert ts == [0.5 * k for k in range(1, 7)]
+
+    def test_branch_records_why_continuation_stopped(self, tmp_path, monkeypatch):
+        real_solve = branchsolve.newton_solve
+
+        def fails_at_fifth_point(basis, t, f, guess=None, tol=branchsolve.NEWTON_TOL):
+            if t == 2.5:
+                raise branchsolve.NewtonError(f"Newton did not converge at t={t} (injected)")
+            return real_solve(basis, t, f, guess=guess, tol=tol)
+
+        basis = spectral.build_basis(3, 0.5, 16)
+        walk = branchsolve.continue_branch(basis, [0.5, 1.0], branchsolve.exponential())
+        assert walk.stop == "grid end"
+
+        monkeypatch.setattr(branchsolve, "newton_solve", fails_at_fifth_point)
+        assert cli.main(["branch", *ARGS, "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["branch_stop"] == "Newton did not converge at t=2.5 (injected)"
+        # the four points before t = 2.5 and the refined fold
+        assert len((tmp_path / "branch.csv").read_text().splitlines()) == 1 + 5
 
     def test_lambda_star_prints_bracket(self, tmp_path, capsys):
         rc = cli.main(["lambda-star", *ARGS, "--out-dir", str(tmp_path)])

@@ -58,6 +58,24 @@ class TestGaussRule:
         assert x.shape == w.shape == (6,)
         assert np.sum(w) == pytest.approx(1.0, rel=1e-15)
 
+    def test_basis_order_on_unit_interval(self):
+        # Q = 4K at K = 1024, the largest rule the n = 20 bases build
+        x, w = spectral._gauss_rule(4096, 0.0, 1.0)
+        assert np.all(np.diff(x) > 0) and 0.0 < x[0] and x[-1] < 1.0
+        assert np.all(w > 0)
+        np.testing.assert_array_equal(w, w[::-1])
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+        for omega in (10.0, 1000.0, 3000.0):
+            exact = math.sin(omega) / omega
+            assert abs(np.sum(w * np.cos(omega * x)) - exact) < 1e-12
+
+    @pytest.mark.parametrize("order", [8, 64, 512])
+    def test_matches_numpy_leggauss(self, order):
+        x, w = spectral._gauss_rule(order, -1.0, 1.0)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+
 
 class TestEval:
     def test_dirichlet_condition(self, basis3):
