@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import interpolate, linalg
+from scipy import linalg
 
 from . import spectral
 
@@ -78,13 +78,6 @@ def power(p):
         lambda u: (1.0 + u) ** p,
         lambda u: p * (1.0 + u) ** (p - 1.0),
     )
-
-
-def tabulated(u_vals, f_vals):
-    """Monotone-cubic interpolant of sampled (u, f(u)) pairs."""
-    pch = interpolate.PchipInterpolator(u_vals, f_vals)
-    dpch = pch.derivative()
-    return Nonlinearity("table", lambda u: pch(u), lambda u: dpch(u))
 
 
 @dataclass(frozen=True)
@@ -187,16 +180,20 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
     raise DivergenceSignal(lam, max_iter, float(np.max(np.abs(u_nodes))))
 
 
-def picard_bisect(basis, f, lo, hi, width, max_iter=4000):
+def picard_bisect(basis, f, lo, hi, width):
     """Halve [lo, hi] around the largest lambda at which monotone_iterate converges.
 
     While hi - lo > width, the midpoint replaces lo if the iteration
     converges there and hi if it raises DivergenceSignal.  Returns (lo, hi).
+    width must be positive: the midpoint of two adjacent floats rounds onto
+    one of them, so a zero width would never be reached.
     """
+    if not width > 0:
+        raise ValueError(f"bisection width must be > 0, got {width}")
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         try:
-            monotone_iterate(basis, mid, f, max_iter=max_iter)
+            monotone_iterate(basis, mid, f)
             lo = mid
         except DivergenceSignal:
             hi = mid
@@ -220,7 +217,7 @@ def _amplitude_row(basis):
     return spectral.filtered(spectral.RadialCoeffs(basis, row)).c
 
 
-def newton_solve(basis, t, f, guess=None, tol=NEWTON_TOL, max_iter=60):
+def newton_solve(basis, t, f, guess=None):
     """Solve {residual(u, lam) = 0, amplitude(u) = t} for (u, lam) by Newton.
 
     The amplitude constraint keeps the augmented Jacobian nonsingular at the
@@ -243,7 +240,7 @@ def newton_solve(basis, t, f, guess=None, tol=NEWTON_TOL, max_iter=60):
         c, lam = np.array(guess[0].c), float(guess[1])
 
     mus = basis.mu ** basis.s
-    for _ in range(max_iter):
+    for _ in range(60):
         u_nodes = _nonlinear_nodes(basis, c)
         with np.errstate(over="ignore", invalid="ignore"):
             fu = f.eval(u_nodes)
@@ -251,7 +248,7 @@ def newton_solve(basis, t, f, guess=None, tol=NEWTON_TOL, max_iter=60):
         res = mus * c - lam * proj
         amp_res = float(phi0 @ c) - t
         norm = math.sqrt(float(res @ res) + amp_res ** 2)
-        if norm <= tol:
+        if norm <= NEWTON_TOL:
             u = spectral.RadialCoeffs(basis, c)
             return BranchPoint(
                 t=t,
@@ -279,14 +276,14 @@ def newton_solve(basis, t, f, guess=None, tol=NEWTON_TOL, max_iter=60):
     raise NewtonError(f"Newton did not converge at t={t} (residual {norm:.3e})")
 
 
-def continue_branch(basis, t_grid, f, refine_fold=True, tol=NEWTON_TOL):
+def continue_branch(basis, t_grid, f):
     """Walk the branch over a strictly increasing amplitude grid.
 
     Secant predictor between consecutive solves; the walk stops at the first
     NewtonError, whose message (naming its t) becomes `Branch.stop`.  The
-    fold is marked where lambda first decreases and, if requested, refined by
-    maximizing lambda(t) and inserted as an extra branch point; a failed
-    refinement raises BranchError carrying the walked branch.
+    fold is marked where lambda first decreases, refined by maximizing
+    lambda(t) and inserted as an extra branch point; a failed refinement
+    raises BranchError carrying the walked branch.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
@@ -306,7 +303,7 @@ def continue_branch(basis, t_grid, f, refine_fold=True, tol=NEWTON_TOL):
             lam_pred = prev.lam + frac * (prev.lam - prev2.lam)
             guess = (spectral.RadialCoeffs(basis, c_pred), lam_pred)
         try:
-            point = newton_solve(basis, float(t), f, guess=guess, tol=tol)
+            point = newton_solve(basis, float(t), f, guess=guess)
         except NewtonError as exc:
             br.stop = str(exc)
             break
@@ -317,15 +314,15 @@ def continue_branch(basis, t_grid, f, refine_fold=True, tol=NEWTON_TOL):
         if lams[i] < lams[i - 1]:
             br.fold_index = i - 1
             break
-    if refine_fold and br.fold_index not in (None, 0):
+    if br.fold_index not in (None, 0):
         try:
-            _refine_fold(basis, br, f, tol)
+            _refine_fold(basis, br, f)
         except NewtonError as exc:
             raise BranchError(f"fold refinement failed: {exc}", br) from exc
     return br
 
 
-def _refine_fold(basis, br, f, tol):
+def _refine_fold(basis, br, f):
     """Golden-section maximization of lambda(t) around the detected fold."""
     i = br.fold_index
     a = br.points[max(i - 1, 0)].t
@@ -334,19 +331,19 @@ def _refine_fold(basis, br, f, tol):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    p1 = newton_solve(basis, x1, f, guess=guess, tol=tol)
-    p2 = newton_solve(basis, x2, f, guess=guess, tol=tol)
+    p1 = newton_solve(basis, x1, f, guess=guess)
+    p2 = newton_solve(basis, x2, f, guess=guess)
     for _ in range(40):
         if b - a < 1e-7 * max(1.0, b):
             break
         if p1.lam < p2.lam:
             a, x1, p1 = x1, x2, p2
             x2 = a + invphi * (b - a)
-            p2 = newton_solve(basis, x2, f, guess=(p1.u, p1.lam), tol=tol)
+            p2 = newton_solve(basis, x2, f, guess=(p1.u, p1.lam))
         else:
             b, x2, p2 = x2, x1, p1
             x1 = b - invphi * (b - a)
-            p1 = newton_solve(basis, x1, f, guess=(p2.u, p2.lam), tol=tol)
+            p1 = newton_solve(basis, x1, f, guess=(p2.u, p2.lam))
     best = p1 if p1.lam >= p2.lam else p2
     # insert the refined fold point in amplitude order
     ts = [p.t for p in br.points]
@@ -356,8 +353,7 @@ def _refine_fold(basis, br, f, tol):
     br.fold_index = int(np.argmax(lams))
 
 
-def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
-                         max_iter=4000):
+def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3):
     """Two independent brackets for the extremal parameter.
 
     (i) maximum of the continued branch, refined at the fold;
@@ -376,11 +372,11 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
 
     lo, hi = lam_fold * (1.0 - 2.0 * bracket_rel_tol), lam_fold * (1.0 + 0.05)
     try:
-        monotone_iterate(basis, lo, f, max_iter=max_iter)
+        monotone_iterate(basis, lo, f)
     except DivergenceSignal:
         lo = lam_fold * 0.9  # fold estimate slightly high; widen downward
         try:
-            monotone_iterate(basis, lo, f, max_iter=max_iter)
+            monotone_iterate(basis, lo, f)
         except DivergenceSignal as exc:
             raise BranchError(
                 f"monotone iteration diverges at lambda={lo}, "
@@ -389,7 +385,7 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
     # grow hi by 5 % until the iteration diverges, at most to 1.05^60 ~ 19x
     for _ in range(60):
         try:
-            monotone_iterate(basis, hi, f, max_iter=max_iter)
+            monotone_iterate(basis, hi, f)
         except DivergenceSignal:
             break
         hi *= 1.05
@@ -398,7 +394,7 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3,
             f"monotone iteration converges up to lambda={hi / 1.05}, "
             f"1.05^60 times the fold estimate {lam_fold}", br
         )
-    lo, hi = picard_bisect(basis, f, lo, hi, bracket_rel_tol * lam_fold, max_iter)
+    lo, hi = picard_bisect(basis, f, lo, hi, bracket_rel_tol * lam_fold)
     if not (lo - bracket_rel_tol * lam_fold <= lam_fold <= hi + bracket_rel_tol * lam_fold):
         raise BranchError(
             f"fold estimate {lam_fold} inconsistent with bisection bracket "

@@ -79,7 +79,7 @@ def lemma_a_worst(n, s):
     """(margin, beta): the smallest 1 - beta C(n,s) A(n,s,beta) over
     beta in {1/2, n/2, 9n/10}, with A refined to 1e-4."""
     return min(
-        (regularity.lemma_a_margin(n, s, beta, rel_tol=1e-4), beta)
+        (regularity.lemma_a_margin(n, s, beta), beta)
         for beta in (0.5, n / 2.0, 0.9 * n)
     )
 

@@ -1,14 +1,15 @@
 """Command-line front end: branch runs, verification suites, formula tables.
 
 Subcommands:
-  branch       continue the minimal branch, write branch.csv + summary.json
-  verify       run the named invariant checks, write verify.json
-  lambda-star  print the extremal-parameter bracket
-  table        print critical dimension / decay bound over an (n, s) grid
-  extremal     branch + decay fits, write extremal report
+  branch    continue the minimal branch, bracket lambda*, write branch.csv
+            + summary.json
+  verify    run the named invariant checks, write verify.json
+  table     print critical dimension / decay bound over an (n, s) grid
+  extremal  branch + decay fits, write extremal.json
 
-Flags mirror config keys and override the config file.  All numeric output
-uses 17 significant digits; files are written atomically.
+Flags mirror config keys and override the config file; a bad value is a
+usage error.  All numeric output uses 17 significant digits; files are
+written atomically.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _json_dump(obj):
 
 
 def _build(cfg):
-    basis = spectral.build_basis(cfg.n, cfg.s, cfg.modes, cfg.quad_order)
+    basis = spectral.build_basis(cfg.n, cfg.s, cfg.modes)
     return basis, cfg.nonlinearity()
 
 
@@ -75,7 +76,7 @@ def run_branch(cfg):
             f,
             t_max=cfg.t_max,
             t_steps=cfg.t_steps,
-            bracket_rel_tol=cfg.tolerances["bracket_tol"],
+            bracket_rel_tol=cfg.bracket_tol,
         )
         summary["lambda_star_lo"] = lo
         summary["lambda_star_hi"] = hi
@@ -204,34 +205,52 @@ def run_verify(cfg, names=None):
 
 
 def run_extremal(cfg):
-    """Branch + decay diagnostics; writes extremal.json."""
+    """Branch + decay diagnostics; writes extremal.json.
+
+    Without a refined fold the fold fields stay None and `error` says why.
+    """
     basis, f = _build(cfg)
-    br = _branch_for_checks(cfg, basis, f)
-    if br.fold_index is None:
-        raise RuntimeError("no fold detected; increase t_max")
-    fold = branchsolve.extremal_solution(br)
-    rho_fit = np.geomspace(1e-3, 0.3, 60)
-    mu_fit, c_fit, r2 = regularity.fit_decay_exponent(fold.u, rho_fit)
     bound = regularity.decay_exponent_bound(cfg.n, cfg.s)
     report = {
         "n": cfg.n,
         "s": cfg.s,
         "f_spec": cfg.f_spec,
         "modes": cfg.modes,
-        "fold_t": fold.t,
-        "fold_lambda": fold.lam,
-        "extremal_u0": branchsolve.amplitude(fold.u),
+        "fold_t": None,
+        "fold_lambda": None,
+        "extremal_u0": None,
         "critical_dim": regularity.critical_dimension(cfg.s),
         "decay_bound": bound,
-        "fitted_interior_decay": mu_fit,
-        "fit_r_squared": r2,
-        "envelope_constant": (
-            regularity.decay_envelope_constant(fold.u, max(bound - 0.1, 0.0), rho_fit)
-            if bound > 0.1
-            else None
-        ),
+        "fitted_interior_decay": None,
+        "fit_r_squared": None,
+        "envelope_constant": None,
         "boundary_rate": checks.boundary_rate(basis),
+        "branch_stop": None,
+        "error": None,
     }
+    try:
+        br = _branch_for_checks(cfg, basis, f)
+        if br.fold_index is None:
+            raise branchsolve.BranchError("no fold detected; increase t_max", br)
+    except branchsolve.BranchError as exc:
+        report["error"] = str(exc)
+        br = exc.branch
+    report["branch_stop"] = br.stop
+    if report["error"] is None:
+        fold = branchsolve.extremal_solution(br)
+        rho_fit = np.geomspace(1e-3, 0.3, 60)
+        mu_fit, _, r2 = regularity.fit_decay_exponent(fold.u, rho_fit)
+        report.update(
+            fold_t=fold.t,
+            fold_lambda=fold.lam,
+            extremal_u0=branchsolve.amplitude(fold.u),
+            fitted_interior_decay=mu_fit,
+            fit_r_squared=r2,
+        )
+        if bound > 0.1:
+            report["envelope_constant"] = regularity.decay_envelope_constant(
+                fold.u, bound - 0.1, rho_fit
+            )
     _atomic_write(Path(cfg.out_dir) / "extremal.json", _json_dump(report))
     return report
 
@@ -254,7 +273,6 @@ def _load_config(args):
         "s": args.s,
         "f": args.f,
         "modes": args.modes,
-        "quad_order": args.quad_order,
         "t_max": args.t_max,
         "t_steps": args.t_steps,
         "out_dir": args.out_dir,
@@ -271,9 +289,8 @@ def main(argv=None):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--n", type=int)
         p.add_argument("--s", type=float)
-        p.add_argument("--f", help="exp | power:p | table:path")
+        p.add_argument("--f", help="exp | power:p")
         p.add_argument("--modes", type=int)
-        p.add_argument("--quad-order", dest="quad_order", type=int)
         p.add_argument("--t-max", dest="t_max", type=float)
         p.add_argument("--t-steps", dest="t_steps", type=int)
         p.add_argument("--out-dir", dest="out_dir")
@@ -287,7 +304,6 @@ def main(argv=None):
         default=",".join(CHECKS),
         help="comma-separated check names (empty for none)",
     )
-    add_common(sub.add_parser("lambda-star", help="bracket the extremal parameter"))
     add_common(sub.add_parser("extremal", help="branch + decay diagnostics"))
     pt = sub.add_parser("table", help="formula table over an (n, s) grid")
     pt.add_argument("--n-values", default="2,3,4,5,6,10,20")
@@ -301,12 +317,19 @@ def main(argv=None):
             pv.error(f"unknown checks {', '.join(unknown)}; known: {', '.join(CHECKS)}")
 
     if args.command == "table":
-        ns = [int(v) for v in args.n_values.split(",") if v]
-        ss = [float(v) for v in args.s_values.split(",") if v]
-        print("\n".join(_table_lines(ns, ss)))
+        try:
+            ns = [int(v) for v in args.n_values.split(",") if v]
+            ss = [float(v) for v in args.s_values.split(",") if v]
+            lines = _table_lines(ns, ss)
+        except ValueError as exc:
+            pt.error(str(exc))
+        print("\n".join(lines))
         return 0
 
-    cfg = _load_config(args)
+    try:
+        cfg = _load_config(args)
+    except (config.ConfigError, OSError) as exc:
+        parser.error(str(exc))
 
     if args.command == "branch":
         _, summary = run_branch(cfg)
@@ -319,22 +342,10 @@ def main(argv=None):
             print(f"{key}: {entry['status']}")
         return 0 if all(e["status"] != "fail" for e in report.values()) else 1
 
-    if args.command == "lambda-star":
-        basis, f = _build(cfg)
-        lo, hi, _ = branchsolve.estimate_lambda_star(
-            basis,
-            f,
-            t_max=cfg.t_max,
-            t_steps=cfg.t_steps,
-            bracket_rel_tol=cfg.tolerances["bracket_tol"],
-        )
-        print(f"{_fmt(lo)} {_fmt(hi)}")
-        return 0
-
     if args.command == "extremal":
         report = run_extremal(cfg)
         print(_json_dump(report), end="")
-        return 0
+        return 0 if report["error"] is None else 1
 
     raise AssertionError("unreachable")
 

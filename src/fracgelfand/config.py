@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import branchsolve
 
@@ -23,10 +22,9 @@ class ExperimentConfig:
     s: float = 0.5
     f_spec: str = "exp"
     modes: int = 256
-    quad_order: int = 0          # 0 means 4 * modes
     t_max: float = 12.0
     t_steps: int = 48
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    bracket_tol: float = DEFAULT_TOLERANCES["bracket_tol"]
     out_dir: Path = Path(".")
     seed: int = 0
 
@@ -37,14 +35,16 @@ class ExperimentConfig:
             raise ConfigError("s must lie in (0, 1]")
         if self.modes < 8:
             raise ConfigError("modes (K) must be >= 8")
-        if self.quad_order == 0:
-            self.quad_order = 4 * self.modes
-        if self.quad_order < 2 * self.modes:
-            raise ConfigError("quad_order must be >= 2K")
         if self.t_steps < 2:
             raise ConfigError("t_steps must be >= 2")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be > 0")
+        if not 0 < self.t_max < math.inf:
+            raise ConfigError("t_max must be finite and > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        # the lambda* bisection halves down to this width, and its lower
+        # start lambda_fold (1 - 2 bracket_tol) must stay >= 0
+        if not (0 < self.bracket_tol <= 0.5):
+            raise ConfigError("bracket_tol must lie in (0, 0.5]")
         self.nonlinearity()  # validates f_spec eagerly
 
     def nonlinearity(self):
@@ -53,17 +53,10 @@ class ExperimentConfig:
             return branchsolve.exponential()
         if spec.startswith("power:"):
             try:
-                p = float(spec.split(":", 1)[1])
+                return branchsolve.power(float(spec.split(":", 1)[1]))
             except ValueError as exc:
-                raise ConfigError(f"bad power exponent in f spec {spec!r}") from exc
-            return branchsolve.power(p)
-        if spec.startswith("table:"):
-            path = Path(spec.split(":", 1)[1])
-            if not path.exists():
-                raise ConfigError(f"nonlinearity table not found: {path}")
-            data = np.loadtxt(path, delimiter=",")
-            return branchsolve.tabulated(data[:, 0], data[:, 1])
-        raise ConfigError(f"unknown f spec {spec!r} (use exp, power:p or table:path)")
+                raise ConfigError(f"bad f spec {spec!r}: {exc}") from exc
+        raise ConfigError(f"unknown f spec {spec!r} (use exp or power:p)")
 
 
 _FIELD_PARSERS = {
@@ -71,9 +64,9 @@ _FIELD_PARSERS = {
     "s": float,
     "f": str,
     "modes": int,
-    "quad_order": int,
     "t_max": float,
     "t_steps": int,
+    "bracket_tol": float,
     "out_dir": Path,
     "seed": int,
 }
@@ -90,23 +83,16 @@ def parse_config(text, overrides=None):
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _FIELD_PARSERS:
-            try:
-                values[key] = _FIELD_PARSERS[key](val)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-        elif key in DEFAULT_TOLERANCES:
-            values.setdefault("tolerances", dict(DEFAULT_TOLERANCES))[key] = float(val)
-        else:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _FIELD_PARSERS[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     if overrides:
         for key, val in overrides.items():
-            if val is None:
-                continue
-            if key in _FIELD_PARSERS:
+            if val is not None:
                 values[key] = _FIELD_PARSERS[key](str(val))
-            elif key in DEFAULT_TOLERANCES:
-                values.setdefault("tolerances", dict(DEFAULT_TOLERANCES))[key] = float(val)
     if "f" in values:
         values["f_spec"] = values.pop("f")
     return ExperimentConfig(**values)

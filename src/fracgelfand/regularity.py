@@ -54,9 +54,10 @@ def decay_envelope_constant(u, mu, rho_range):
     return float(np.max(vals * rho ** mu))
 
 
-def boundary_decay_rate(u, rho_lo=0.99, rho_hi=0.9999, n_pts=60):
-    """Fitted exponent of u(rho) against dist = 1 - rho near the boundary."""
-    d = np.geomspace(1.0 - rho_hi, 1.0 - rho_lo, n_pts)
+def boundary_decay_rate(u):
+    """Fitted exponent of u(rho) against dist = 1 - rho, at 60 distances in
+    [1e-4, 1e-2]."""
+    d = np.geomspace(1.0 - 0.9999, 1.0 - 0.99, 60)
     vals = u(1.0 - d) if callable(u) else spectral.evaluate(u, 1.0 - d)
     if np.any(vals <= 0):
         raise ValueError("boundary fit needs positive samples")
@@ -87,15 +88,16 @@ def _a_theta_integral(n, s, r, y):
     )
 
 
-def a_constant(n, s, beta, rel_tol=1e-4, order=8, max_level=4):
+def a_constant(n, s, beta, rel_tol=1e-4):
     """The weighted kernel constant A(n, s, beta).
 
     A = int_{R^n x (0,inf)} y^(3-2s) / [(|x|^2+y^2)^((beta+2)/2)
         (y^2+|x-e|^2)^((n+2-2s)/2)] dx dy,
     reduced by axial symmetry to a (r, theta, y) integral carrying |S^(n-2)|,
     with the theta integral in closed form (_a_theta_integral).
-    The (r, y) quadrature is graded toward the two singular corners (0,0) and
-    (1,0) and refined until successive estimates differ by < rel_tol.
+    The (r, y) quadrature, 8-point Gauss panels graded toward the two
+    singular corners (0,0) and (1,0), is refined by doubling the panels, at
+    most four times, until successive estimates differ by < rel_tol.
     """
     if not (0 < beta < n):
         raise ValueError("need 0 < beta < n")
@@ -109,14 +111,14 @@ def a_constant(n, s, beta, rel_tol=1e-4, order=8, max_level=4):
             np.concatenate([0.5 * g, 1.0 - 0.5 * g[::-1], 1.0 + 3.0 * g])
         )
         r_nodes, r_w = map(
-            np.ravel, spectral._gauss_rule(order, edges_r[:-1], edges_r[1:])
+            np.ravel, spectral._gauss_rule(8, edges_r[:-1], edges_r[1:])
         )
         # map the tail (4, inf) via r = 4/t; the transformed density carries
         # a t^(beta-1) factor at t=0, absorbed by power grading of the edges
         grading = min(max(1.0, 3.0 / beta), 24.0)
         t_edges = np.linspace(0.0, 1.0, m + 1) ** grading
         t_nodes, t_w = map(
-            np.ravel, spectral._gauss_rule(order, t_edges[:-1], t_edges[1:])
+            np.ravel, spectral._gauss_rule(8, t_edges[:-1], t_edges[1:])
         )
         tail_r = 4.0 / t_nodes
         tail_w = 4.0 / t_nodes ** 2 * t_w
@@ -125,7 +127,7 @@ def a_constant(n, s, beta, rel_tol=1e-4, order=8, max_level=4):
         # vertical: graded toward y=0, tail via y = 4/t
         edges_y = 4.0 * np.linspace(0.0, 1.0, 2 * m + 1) ** 3
         y_nodes, y_w = map(
-            np.ravel, spectral._gauss_rule(order, edges_y[:-1], edges_y[1:])
+            np.ravel, spectral._gauss_rule(8, edges_y[:-1], edges_y[1:])
         )
         y_all = np.concatenate([y_nodes, 4.0 / t_nodes])
         wy_all = np.concatenate([y_w, tail_w])
@@ -143,7 +145,7 @@ def a_constant(n, s, beta, rel_tol=1e-4, order=8, max_level=4):
         return spectral.sphere_area(n - 1) * total
 
     prev = estimate(6)
-    for level in range(1, max_level + 1):
+    for level in range(1, 5):
         cur = estimate(6 * 2 ** level)
         if abs(cur - prev) <= rel_tol * abs(cur):
             return cur
@@ -154,8 +156,6 @@ def a_constant(n, s, beta, rel_tol=1e-4, order=8, max_level=4):
     )
 
 
-def lemma_a_margin(n, s, beta, **kwargs):
+def lemma_a_margin(n, s, beta):
     """Sign-condition margin 1 - beta * C(n,s) * A(n,s,beta); strictly positive."""
-    return 1.0 - beta * extension.poisson_constant(n, s) * a_constant(
-        n, s, beta, **kwargs
-    )
+    return 1.0 - beta * extension.poisson_constant(n, s) * a_constant(n, s, beta)

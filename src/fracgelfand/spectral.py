@@ -158,18 +158,18 @@ def unit(basis, k):
     return RadialCoeffs(basis, c)
 
 
-def filtered(u, order=8, strength=36.0):
-    """Exponentially filtered copy of u: c_k -> c_k exp(-strength (k/K)^order).
+def filtered(u):
+    """Exponentially filtered copy of u: c_k -> c_k exp(-36 (k/K)^8).
 
     Damps the high-mode tail of a truncated expansion.  Pointwise synthesis
     of a Fourier-Bessel series rings with amplitude ~|c_K phi_K(rho)|, and
     phi_k(rho) ~ rho^{-(n-1)/2} near the axis, so in high dimension the raw
     partial sums are unusable at small radii even with exact coefficients.
     The filter is spectrally accurate on the resolved modes (the factor is
-    1 - O((k/K)^order) for k << K) while suppressing the tail.
+    1 - O((k/K)^8) for k << K) while suppressing the tail.
     """
     k = np.arange(1, u.basis.K + 1)
-    sigma = np.exp(-strength * (k / u.basis.K) ** order)
+    sigma = np.exp(-36.0 * (k / u.basis.K) ** 8)
     return RadialCoeffs(u.basis, u.c * sigma)
 
 

@@ -50,12 +50,6 @@ class TestNonlinearity:
                 "bad", lambda u: np.exp(-u), lambda u: -np.exp(-u)
             )
 
-    def test_tabulated_matches_samples(self):
-        u = np.linspace(0.0, 110.0, 4001)
-        f = branchsolve.tabulated(u, np.exp(u))
-        assert f.eval(np.array(3.1)) == pytest.approx(math.exp(3.1), rel=1e-4)
-        assert f.deriv(np.array(3.1)) == pytest.approx(math.exp(3.1), rel=1e-3)
-
 
 class TestResidual:
     def test_zero_solution_zero_lambda(self, basis, fexp):
@@ -250,14 +244,22 @@ class TestPicardBisect:
         assert hi - lo <= 1e-11
         assert branchsolve.picard_bisect(None, None, 1.0, 1.5, width=0.5) == (1.0, 1.5)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0])
+    def test_rejects_nonpositive_width(self, monkeypatch, width):
+        # with width 0 the midpoint of two adjacent floats rounds back onto
+        # hi, and the halving would never end
+        calls = []
 
-class TestTabulatedBranch:
-    def test_tabulated_exp_matches_exact_exp(self, basis, fexp):
-        u = np.linspace(0.0, 110.0, 4001)
-        ftab = branchsolve.tabulated(u, np.exp(u))
-        p_ref = branchsolve.newton_solve(basis, 1.0, fexp)
-        p_tab = branchsolve.newton_solve(basis, 1.0, ftab)
-        assert p_tab.lam == pytest.approx(p_ref.lam, rel=1e-5)
+        def threshold(basis, lam, f, max_iter=4000):
+            calls.append(lam)
+            assert len(calls) < 200, "bisection does not stop"
+            if lam >= 3.25:
+                raise branchsolve.DivergenceSignal(lam, 1, float("inf"))
+
+        monkeypatch.setattr(branchsolve, "monotone_iterate", threshold)
+        with pytest.raises(ValueError, match="width must be > 0"):
+            branchsolve.picard_bisect(None, None, 0.1, 8.0, width=width)
+        assert calls == []
 
 
 @settings(max_examples=12, deadline=None)

@@ -5,6 +5,9 @@ determinism is asserted byte-for-byte on the persisted branch.csv.
 """
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,12 @@ class TestConfigParsing:
         assert cfg.s == 0.5
         assert cfg.f_spec == "exp"
         assert cfg.modes == 256
-        assert cfg.quad_order == 4 * 256
+        assert cfg.bracket_tol == config.DEFAULT_TOLERANCES["bracket_tol"]
+        # the quadrature order is build_basis's 4K, not a setting
+        with pytest.raises(config.ConfigError, match="unknown key 'quad_order'"):
+            config.parse_config("quad_order = 512\n")
+        with pytest.raises(config.ConfigError, match="unknown f spec"):
+            config.parse_config("f = table:f.csv\n")
 
     def test_simple_file(self):
         text = "n = 5\ns = 0.7  # fractional order\n\nmodes=32\nf=power:2\n"
@@ -29,7 +37,7 @@ class TestConfigParsing:
 
     def test_tolerance_key(self):
         cfg = config.parse_config("bracket_tol = 1e-4\n")
-        assert cfg.tolerances == {"bracket_tol": 1e-4}
+        assert cfg.bracket_tol == 1e-4
         # the solvers' own tolerances are not configurable
         for key in ("newton_tol", "monotone_tol", "eig_tol"):
             with pytest.raises(config.ConfigError, match="unknown key"):
@@ -56,18 +64,28 @@ class TestConfigParsing:
         with pytest.raises(config.ConfigError, match="bad value for modes"):
             config.parse_config("modes = many\n")
 
-    def test_table_nonlinearity(self, tmp_path):
-        path = tmp_path / "f.csv"
-        u = np.linspace(0.0, 110.0, 2201)
-        np.savetxt(path, np.column_stack([u, np.exp(u)]), delimiter=",")
-        cfg = config.parse_config(f"f=table:{path}\nmodes=16\n")
-        assert cfg.nonlinearity().eval(np.array(2.0)) == pytest.approx(
-            np.exp(2.0), rel=1e-4
-        )
+    @pytest.mark.parametrize("value", ["0", "-1", "0.75", "nan"])
+    def test_bracket_tol_out_of_range_rejected(self, value):
+        # a zero width never ends the lambda* bisection, and above 1/2 its
+        # lower start lambda_fold (1 - 2 bracket_tol) is negative
+        with pytest.raises(config.ConfigError, match="bracket_tol must lie"):
+            config.parse_config(f"bracket_tol = {value}\n")
 
-    def test_missing_table_rejected(self):
-        with pytest.raises(config.ConfigError, match="not found"):
-            config.parse_config("f=table:/nonexistent/f.csv\n")
+    @pytest.mark.parametrize(
+        "line", ["t_max = 0", "t_max = -1", "t_max = nan", "t_max = inf", "seed = -1"]
+    )
+    def test_out_of_range_rejected(self, line):
+        with pytest.raises(config.ConfigError, match=line.split()[0] + " must be"):
+            config.parse_config(line + "\n")
+
+    def test_bad_bracket_tol_reports_line(self):
+        with pytest.raises(config.ConfigError, match="line 2: bad value for bracket_tol"):
+            config.parse_config("n = 3\nbracket_tol = abc\n")
+
+    @pytest.mark.parametrize("spec", ["power:1", "power:0.5", "power:abc"])
+    def test_bad_power_spec_is_config_error(self, spec):
+        with pytest.raises(config.ConfigError, match="bad f spec"):
+            config.parse_config(f"f = {spec}\n")
 
 
 ARGS = ["--n", "3", "--s", "0.5", "--modes", "16", "--t-max", "8", "--t-steps", "16"]
@@ -129,7 +147,7 @@ class TestCli:
 
     def test_branch_records_failed_fold_refinement(self, tmp_path, monkeypatch):
         # the walked points are written once, and the summary names the failure
-        def fails(basis, br, f, tol):
+        def fails(basis, br, f):
             raise branchsolve.NewtonError("Newton did not converge at t=1.5 (injected)")
 
         walks = _count_walks(monkeypatch)
@@ -149,10 +167,10 @@ class TestCli:
     def test_branch_records_why_continuation_stopped(self, tmp_path, monkeypatch):
         real_solve = branchsolve.newton_solve
 
-        def fails_at_fifth_point(basis, t, f, guess=None, tol=branchsolve.NEWTON_TOL):
+        def fails_at_fifth_point(basis, t, f, guess=None):
             if t == 2.5:
                 raise branchsolve.NewtonError(f"Newton did not converge at t={t} (injected)")
-            return real_solve(basis, t, f, guess=guess, tol=tol)
+            return real_solve(basis, t, f, guess=guess)
 
         basis = spectral.build_basis(3, 0.5, 16)
         walk = branchsolve.continue_branch(basis, [0.5, 1.0], branchsolve.exponential())
@@ -164,12 +182,6 @@ class TestCli:
         assert summary["branch_stop"] == "Newton did not converge at t=2.5 (injected)"
         # the four points before t = 2.5 and the refined fold
         assert len((tmp_path / "branch.csv").read_text().splitlines()) == 1 + 5
-
-    def test_lambda_star_prints_bracket(self, tmp_path, capsys):
-        rc = cli.main(["lambda-star", *ARGS, "--out-dir", str(tmp_path)])
-        assert rc == 0
-        lo, hi = map(float, capsys.readouterr().out.split())
-        assert 0.0 < lo < hi
 
     def test_table_output(self, capsys):
         rc = cli.main(["table", "--n-values", "3,10", "--s-values", "0.5,1.0"])
@@ -187,6 +199,29 @@ class TestCli:
         rep = json.loads((tmp_path / "extremal.json").read_text())
         assert rep["fold_lambda"] > 0
         assert rep["critical_dim"] == pytest.approx(2 * (2.5 + np.sqrt(3.0)))
+        assert rep["error"] is None
+        # as in branch's summary.json: the walk passes the fold, then Newton fails
+        assert rep["branch_stop"].startswith("Newton did not converge at t=3.5")
+
+    def test_extremal_without_fold_writes_report(self, tmp_path):
+        # the walk ends at t = 0.5, before the fold at t = 1.53
+        argv = ["--n", "3", "--s", "0.5", "--modes", "16", "--t-max", "0.5", "--t-steps", "2"]
+        rc = cli.main(["extremal", *argv, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        rep = json.loads((tmp_path / "extremal.json").read_text())
+        assert rep["error"] == "no fold detected; increase t_max"
+        assert rep["branch_stop"] == "grid end"
+        for key in ("fold_t", "fold_lambda", "extremal_u0", "fitted_interior_decay",
+                    "fit_r_squared", "envelope_constant"):
+            assert rep[key] is None
+        assert rep["boundary_rate"] > 0
+
+    @pytest.mark.parametrize("argv", [["--s-values", "1.5"], ["--n-values", "x"]])
+    def test_table_bad_grid_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", *argv])
+        assert exc.value.code == 2
+        assert "usage: fracgelfand table" in capsys.readouterr().err
 
     def test_verify_empty_check_list(self, tmp_path):
         rc = cli.main(
@@ -225,7 +260,7 @@ class TestCli:
         # perturb the second mode's samples; orthonormality must trip
         real_build = spectral.build_basis
 
-        def broken(n, s, K, quad_order=0):
+        def broken(n, s, K, quad_order=None):
             basis = real_build(n, s, K, quad_order)
             tab = basis.phi_table.copy()
             tab[1] *= 1.0 + 1e-4
@@ -240,19 +275,60 @@ class TestCli:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["orthonormality"]["status"] == "fail"
 
-    def test_config_file_plus_flag_override(self, tmp_path, capsys):
+    def test_config_file_plus_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("n=2\ns=0.5\nmodes=16\nt_max=8\nt_steps=16\n")
         rc = cli.main(
-            ["table", "--n-values", "2", "--s-values", "0.5"]
-        )
-        assert rc == 0
-        capsys.readouterr()
-        rc = cli.main(
-            ["lambda-star", "--config", str(cfgfile), "--s", "1.0",
+            ["branch", "--config", str(cfgfile), "--s", "1.0",
              "--out-dir", str(tmp_path)]
         )
         assert rc == 0
-        lo, hi = map(float, capsys.readouterr().out.split())
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["n"], summary["s"], summary["modes"]) == (2, 1.0, 16)
         # s=1, n=2, f=exp has the classical extremal parameter 2
-        assert lo < 2.0 < hi * 1.01
+        assert summary["lambda_star_lo"] < 2.0 < summary["lambda_star_hi"] * 1.01
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--s", "1.5"], "s must lie in"),
+            (["--f", "power:abc"], "bad f spec"),
+            (["--f", "power:1"], "needs p > 1"),
+            (["--config", "/nonexistent.cfg"], "No such file"),
+        ],
+    )
+    def test_bad_configuration_is_usage_error(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["branch", *argv, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """argv of each `fracgelfand ...` line in README's sh blocks without a
+    shell variable."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in lines
+        if line.startswith("fracgelfand ") and "$" not in line
+    ]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_exists(argv, capsys):
+    # argparse exits 0 on --help even after an unknown flag, so each flag
+    # must also appear in the subcommand's help
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    for flag in (a for a in argv if a.startswith("--")):
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", usage), (
+            f"{flag} is not an option of {argv[0]}"
+        )

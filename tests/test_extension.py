@@ -68,10 +68,6 @@ class TestFluxConstant:
             flux = -(y ** (1.0 - 2.0 * s)) * _profile(b, k, y, deriv=True)
             assert flux == pytest.approx(c * b.mu[k - 1] ** s, rel=1e-5)
 
-    def test_k_independence_enforced(self):
-        # identical-by-construction values across k; just confirm it runs
-        extension.flux_constant(0.3, k_indices=(1, 5))
-
 
 class TestExtensionEval:
     def test_trace_property(self, basis3):
@@ -139,6 +135,23 @@ class TestWeightedIntegrals:
         )
         val = extension.weighted_vrho_integral(spectral.unit(basis3, 1), spec)
         assert np.isfinite(val) and val > 0
+
+    def test_cutoff_derivatives_match_central_differences(self):
+        spec = extension.CutoffSpec(alpha=1.3, epsilon=0.05, R=3.0)
+        # nodes at least 1e-3 from the ramp ends, where eta'' jumps
+        rho = np.linspace(0.01, 0.99, 197)
+        rho = rho[np.min(np.abs(rho[:, None] - [0.05, 0.1, 0.5, 0.75]), axis=1) > 1e-3]
+        y = np.linspace(0.1, 4.9, 97)
+        y = y[np.min(np.abs(y[:, None] - [3.0, 4.0]), axis=1) > 1e-3]
+        _, d_rho, d_y = extension._cutoff_parts(spec, rho, y)
+        h = 1e-6
+        fd_rho = (extension._cutoff_parts(spec, rho + h, y)[0]
+                  - extension._cutoff_parts(spec, rho - h, y)[0]) / (2 * h)
+        fd_y = (extension._cutoff_parts(spec, rho, y + h)[0]
+                - extension._cutoff_parts(spec, rho, y - h)[0]) / (2 * h)
+        for exact, fd in ((d_rho, fd_rho), (d_y, fd_y)):
+            assert np.max(np.abs(exact)) > 1.0
+            np.testing.assert_allclose(exact, fd, rtol=1e-7, atol=1e-12)
 
     def test_degenerate_cutoff_vanishes(self, basis3):
         spec = extension.CutoffSpec(alpha=1.0, epsilon=0.75, R=3.0)
