@@ -15,7 +15,6 @@ written atomically.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -114,9 +113,28 @@ def _branch_for_checks(cfg, basis, f):
     return branchsolve.continue_branch(basis, t_grid, f)
 
 
+def _once(fn):
+    """fn, called at most once: later calls return its value or re-raise its error."""
+    outcome = []
+
+    def call():
+        if not outcome:
+            try:
+                outcome.append((fn(), None))
+            except Exception as exc:
+                outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return call
+
+
 # name -> (margin(basis, f, rng, branch), pass test on the margin); branch()
-# continues the branch on first use.  Checks in FRACTIONAL_CHECKS are skipped
-# at s = 1.  The checks share one rng and run in the order asked for.
+# continues the branch on first use, and later calls return or raise the same.
+# Checks in FRACTIONAL_CHECKS are skipped at s = 1.  The checks share one rng
+# and run in the order asked for.
 CHECKS = {
     "flux_constant": (
         lambda b, f, rng, branch: checks.flux_constant_error(b.s),
@@ -187,7 +205,7 @@ def run_verify(cfg, names=None):
     names = list(CHECKS) if names is None else names
     basis, f = _build(cfg)
     rng = np.random.default_rng(cfg.seed)
-    branch = functools.cache(lambda: _branch_for_checks(cfg, basis, f))
+    branch = _once(lambda: _branch_for_checks(cfg, basis, f))
     report = {}
     for name in names:
         margin, passes = CHECKS[name]

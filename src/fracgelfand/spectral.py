@@ -158,6 +158,12 @@ def unit(basis, k):
     return RadialCoeffs(basis, c)
 
 
+def _filter_factors(K):
+    """The filter's factors sigma_k = exp(-36 (k/K)^8), k = 1..K."""
+    k = np.arange(1, K + 1)
+    return np.exp(-36.0 * (k / K) ** 8)
+
+
 def filtered(u):
     """Exponentially filtered copy of u: c_k -> c_k exp(-36 (k/K)^8).
 
@@ -168,9 +174,7 @@ def filtered(u):
     The filter is spectrally accurate on the resolved modes (the factor is
     1 - O((k/K)^8) for k << K) while suppressing the tail.
     """
-    k = np.arange(1, u.basis.K + 1)
-    sigma = np.exp(-36.0 * (k / u.basis.K) ** 8)
-    return RadialCoeffs(u.basis, u.c * sigma)
+    return RadialCoeffs(u.basis, u.c * _filter_factors(u.basis.K))
 
 
 def evaluate(u, rho):

@@ -6,6 +6,7 @@ solve can be checked against a first-order expansion.  The classical case
 s = 1, n = 2, f = exp has the known extremal parameter lambda* = 2.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -103,6 +104,53 @@ class TestMonotoneIteration:
     def test_negative_lambda_rejected(self, basis, fexp):
         with pytest.raises(ValueError):
             branchsolve.monotone_iterate(basis, -1.0, fexp)
+
+    @pytest.mark.parametrize("K", [16, 128, 512])
+    @pytest.mark.parametrize("n", [2, 3, 6, 10, 20])
+    def test_weight_cut_is_a_prefix(self, n, K):
+        # monotone_iterate steps on the nodes from the first kept one on
+        keep = branchsolve._kept_nodes(spectral.build_basis(n, 0.5, K))
+        j0 = int(np.argmax(keep))
+        assert not keep[:j0].any() and keep[j0:].all()
+
+    def test_equals_full_node_loop_without_cut_nodes(self, fexp):
+        basis = spectral.build_basis(3, 0.5, 32)
+        assert branchsolve._kept_nodes(basis).all()
+        for lam in (0.3, 1.0):
+            u = branchsolve.monotone_iterate(basis, lam, fexp)
+            assert np.array_equal(u.c, _full_node_iterate(basis, lam, fexp))
+        with pytest.raises(branchsolve.DivergenceSignal) as got:
+            branchsolve.monotone_iterate(basis, 1.5, fexp)
+        with pytest.raises(branchsolve.DivergenceSignal) as want:
+            _full_node_iterate(basis, 1.5, fexp)
+        assert got.value.iterations == want.value.iterations
+
+    def test_keeps_the_cut_nodes_share_at_n20(self, fexp):
+        # 74 of the 256 nodes are cut; without their f(0) share of the
+        # projection the residual norm is 3.2e-8
+        basis = spectral.build_basis(20, 0.5, 64)
+        u = branchsolve.monotone_iterate(basis, 3.0, fexp)
+        assert np.linalg.norm(branchsolve.residual(u, 3.0, fexp).c) <= 1e-8
+
+
+def _full_node_iterate(basis, lam, f):
+    """The monotone iteration over every node; returns the coefficients."""
+    # with mu = 0 and lambda = 1 the residual is exactly -P[f(u)]
+    no_mu = dataclasses.replace(basis, mu=np.zeros(basis.K))
+    c = np.zeros(basis.K)
+    u_nodes = branchsolve._nonlinear_nodes(basis, c)
+    for m in range(1, 4001):
+        proj = -branchsolve.residual(spectral.RadialCoeffs(no_mu, c), 1.0, f).c
+        c_new = lam * basis.mu ** (-basis.s) * proj
+        new_nodes = branchsolve._nonlinear_nodes(basis, c_new)
+        amp = float(np.max(np.abs(new_nodes)))
+        if not amp <= branchsolve.BLOWUP_THRESHOLD:
+            raise branchsolve.DivergenceSignal(lam, m, amp)
+        diff = float(np.max(np.abs(new_nodes - u_nodes)))
+        c, u_nodes = c_new, new_nodes
+        if diff < branchsolve.MONOTONE_TOL:
+            return c
+    raise branchsolve.DivergenceSignal(lam, 4000, float(np.max(np.abs(u_nodes))))
 
 
 class TestNewton:

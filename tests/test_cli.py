@@ -256,6 +256,25 @@ class TestCli:
         assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
 
+    def test_verify_walks_a_failing_branch_once(self, tmp_path, monkeypatch):
+        # every branch check records the error of the one walk
+        def fails(basis, br, f):
+            raise branchsolve.NewtonError("Newton did not converge at t=1.5 (injected)")
+
+        names = ["riesz_bound", "radial_monotonicity", "weighted_key_estimate",
+                 "stability_weighted_inequality", "exp_decay_y", "phi1_identity"]
+        walks = _count_walks(monkeypatch)
+        monkeypatch.setattr(branchsolve, "_refine_fold", fails)
+        rc = cli.main(["verify", *ARGS, "--out-dir", str(tmp_path),
+                       "--checks", ",".join(names)])
+        assert rc == 1
+        assert len(walks) == 1
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert set(report) == set(names)
+        assert {e["error"] for e in report.values()} == {
+            "fold refinement failed: Newton did not converge at t=1.5 (injected)"
+        }
+
     def test_verify_detects_injected_fault(self, tmp_path, monkeypatch):
         # perturb the second mode's samples; orthonormality must trip
         real_build = spectral.build_basis
