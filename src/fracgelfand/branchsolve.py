@@ -55,9 +55,11 @@ class Nonlinearity:
     kind: str
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
+    f0: float = field(init=False, repr=False)  # f(0), what the weight cut feeds to f
 
     def __post_init__(self):
-        if not self.eval(np.array(0.0)) > 0:
+        object.__setattr__(self, "f0", float(self.eval(np.array(0.0))))
+        if not self.f0 > 0:
             raise ValueError("nonlinearity must satisfy f(0) > 0")
         u = np.linspace(0.0, 100.0, 257)
         if np.any(self.deriv(u) < -1e-12):
@@ -101,23 +103,18 @@ class Branch:
         return max(p.lam for p in self.points)
 
 
-def _kept_nodes(basis):
-    """Mask of the nodes whose f-values the solvers compute (see _nonlinear_nodes)."""
-    w = basis.quad_weights
-    return w > WEIGHT_CUT * w.max()
+class _NonlinearTerm:
+    """The nonlinear term P[f(u~)] of (-Delta)^s u = lambda P[f(u~)], on one basis.
 
-
-def _nonlinear_nodes(basis, c):
-    """Node values of the truncated expansion, safe to feed into f.
-
-    Two guards against near-axis synthesis artifacts, which grow with the
-    dimension because basis values grow like rho^(-(n-1)/2) toward the axis:
+    u~ is the truncated expansion as the solvers feed it into f.  Two guards
+    against near-axis synthesis artifacts, which grow with the dimension
+    because basis values grow like rho^(-(n-1)/2) toward the axis:
 
     - the synthesis is spectrally filtered (`spectral.filtered`) for every
       n, so truncation ringing of size |c_K phi_K(rho)| is damped before the
       exponential nonlinearity can amplify it;
     - nodes whose rho^(n-1) quadrature weight is below WEIGHT_CUT = 1e-13 of
-      the largest weight are set to zero, so f(noise) cannot overflow there.
+      the largest weight hold u~ = 0, so f(noise) cannot overflow there.
 
     Both guards change the solution, not only the artifacts.  The filter
     damps every coefficient by the factor exp(-36 (k/K)^8).  The weight cut
@@ -126,28 +123,40 @@ def _nonlinear_nodes(basis, c):
     (rho < 0.19).  At n = 20 the minimal solution near the extremal
     parameter then has a spurious maximum at the cut.
 
-    The cut nodes are a prefix of the rho-sorted nodes: the weights
-    |S^(n-1)| rho^(n-1) w_GL increase from the axis to their maximum
+    The cut nodes are the prefix of the rho-sorted nodes before j0: the
+    weights |S^(n-1)| rho^(n-1) w_GL increase from the axis to their maximum
     (rho = 0.83 at n = 3, 0.97 at n = 20), and past it they stay far above
-    the cut (at least 2e-3 of the largest at K = 512).  `monotone_iterate`
-    relies on this to synthesize and evaluate f on the kept nodes only.
+    the cut (at least 2e-3 of the largest at K = 512).  So synthesis, f and
+    the projection run on the kept nodes only, and the cut nodes' f(0) share
+    of the projection is one constant vector.  It stays in the sum: at
+    n = 20 it is 4.5e-8 of the projection, above the Picard tolerance.
     """
-    c = spectral.filtered(spectral.RadialCoeffs(basis, c)).c
-    vals = c @ basis.phi_table
-    return np.where(_kept_nodes(basis), vals, 0.0)
 
+    def __init__(self, basis, f):
+        w = basis.quad_weights
+        self.j0 = int(np.argmax(w > WEIGHT_CUT * w.max()))
+        self.f = f
+        self.phi = basis.phi_table[:, self.j0:]
+        self.w = w[self.j0:]
+        self.sigma = spectral._filter_factors(basis.K)
+        self.cut_share = basis.phi_table[:, : self.j0] @ (w[: self.j0] * f.f0)
 
-def nonlinear_node_values(u):
-    """Node values of u as fed into the nonlinearity by the solvers."""
-    return _nonlinear_nodes(u.basis, u.c)
+    def _nonlinear_nodes(self, c):
+        """u~ at every node: the filtered synthesis of c, zero on the cut."""
+        return np.concatenate([np.zeros(self.j0), (c * self.sigma) @ self.phi])
+
+    def __call__(self, u_nodes):
+        """P[f(u~)] from the node values of `_nonlinear_nodes`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            fu = self.f.eval(u_nodes[self.j0:])
+            return self.phi @ (self.w * fu) + self.cut_share
 
 
 def residual(u, lam, f):
     """Coefficient-space residual (-Delta)^s u - lambda * P[f(u)]."""
-    basis = u.basis
-    fu = f.eval(_nonlinear_nodes(basis, u.c))
-    proj = basis.phi_table @ (basis.quad_weights * fu)
-    return spectral.RadialCoeffs(basis, spectral.frac_laplacian(u).c - lam * proj)
+    term = _NonlinearTerm(u.basis, f)
+    proj = term(term._nonlinear_nodes(u.c))
+    return spectral.RadialCoeffs(u.basis, spectral.frac_laplacian(u).c - lam * proj)
 
 
 def _fprime_matrix(basis, u_nodes, f):
@@ -159,9 +168,8 @@ def _fprime_matrix(basis, u_nodes, f):
 def stability_eigenvalue(u, lam, f):
     """Smallest eigenvalue of diag(mu^s) - lambda * F, F_jk = int f'(u) phi_j phi_k."""
     basis = u.basis
-    A = np.diag(basis.mu ** basis.s) - lam * _fprime_matrix(
-        basis, _nonlinear_nodes(basis, u.c), f
-    )
+    u_nodes = _NonlinearTerm(basis, f)._nonlinear_nodes(u.c)
+    A = np.diag(basis.mu ** basis.s) - lam * _fprime_matrix(basis, u_nodes, f)
     return float(linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0])
 
 
@@ -170,33 +178,18 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
 
     u^{m+1} = lambda * (-Delta)^{-s} P[f(u^m)]; the iterates increase
     pointwise and converge exactly when lambda is below the extremal
-    parameter.  Raises DivergenceSignal otherwise.
-
-    The node values are those of `_nonlinear_nodes`, but each step touches
-    only the kept nodes, which follow the cut prefix: it evaluates f there,
-    projects onto the basis and synthesizes the filtered iterate there.  The
-    cut nodes always feed f(0), so their share of the projection is one
-    constant vector, taken from the first step, where every node is 0.  It
-    stays in the sum: at n = 20 it is 4.5e-8 of the projection, above tol.
-    The amplitude and difference tests skip the cut nodes, which are 0.
+    parameter.  Raises DivergenceSignal otherwise.  One f evaluation per
+    step, on the kept nodes (see _NonlinearTerm).
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    j0 = int(np.argmax(_kept_nodes(basis)))
-    phi_cut = basis.phi_table[:, :j0]
-    phi = np.ascontiguousarray(basis.phi_table[:, j0:])
-    w_cut, w = basis.quad_weights[:j0], basis.quad_weights[j0:]
+    term = _NonlinearTerm(basis, f)
     scale = lam * basis.mu ** (-basis.s)
-    sigma = spectral._filter_factors(basis.K)
     u_nodes = np.zeros_like(basis.quad_nodes)
     for m in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            fu = f.eval(u_nodes)
-            if m == 1:
-                cut_proj = phi_cut @ (w_cut * fu[:j0])
-                fu, u_nodes = fu[j0:], u_nodes[j0:]
-            c_new = scale * (phi @ (w * fu) + cut_proj)
-            new_nodes = (c_new * sigma) @ phi
+            c_new = scale * term(u_nodes)
+            new_nodes = term._nonlinear_nodes(c_new)
         amp = float(np.max(np.abs(new_nodes)))
         if not np.isfinite(amp) or amp > BLOWUP_THRESHOLD:
             raise DivergenceSignal(lam, m, amp)
@@ -258,20 +251,17 @@ def newton_solve(basis, t, f, guess=None):
         lam = 0.0
         if t > 0:
             # first-order predictor along lambda*f(0)*zeta0
-            zeta0 = basis.mu ** (-basis.s) * (
-                basis.phi_table @ basis.quad_weights
-            )
-            lam = t / (float(f.eval(np.array(0.0))) * float(phi0 @ zeta0))
-            c = lam * float(f.eval(np.array(0.0))) * zeta0
+            zeta0 = spectral._zeta0(basis).c
+            lam = t / (f.f0 * float(phi0 @ zeta0))
+            c = lam * f.f0 * zeta0
     else:
         c, lam = np.array(guess[0].c), float(guess[1])
 
+    term = _NonlinearTerm(basis, f)
     mus = basis.mu ** basis.s
     for _ in range(60):
-        u_nodes = _nonlinear_nodes(basis, c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fu = f.eval(u_nodes)
-            proj = basis.phi_table @ (basis.quad_weights * fu)
+        u_nodes = term._nonlinear_nodes(c)
+        proj = term(u_nodes)
         res = mus * c - lam * proj
         amp_res = float(phi0 @ c) - t
         norm = math.sqrt(float(res @ res) + amp_res ** 2)

@@ -19,6 +19,8 @@ def stable_points(br, count):
     """Up to `count` evenly spaced branch points before the fold with nu_1 > 0."""
     idx = br.fold_index if br.fold_index is not None else len(br.points)
     pts = [p for p in br.points[:idx] if p.nu1 > 0]
+    if not pts:
+        raise ValueError(f"no stable branch points before the fold (walk: {br.stop})")
     step = max(1, len(pts) // count)
     return pts[::step][:count]
 
@@ -63,10 +65,8 @@ def riesz_bound_ratio(points, f):
     radii in [0.02, 0.95]."""
     basis = points[0].u.basis
     C = extension.poisson_constant(basis.n, basis.s)
-    hs = [
-        spectral.analyze(basis, p.lam * f.eval(branchsolve.nonlinear_node_values(p.u)))
-        for p in points
-    ]
+    nodes = branchsolve._NonlinearTerm(basis, f)._nonlinear_nodes
+    hs = [spectral.analyze(basis, p.lam * f.eval(nodes(p.u.c))) for p in points]
     worst = 0.0
     for x in np.linspace(0.02, 0.95, 20):
         bounds = C * extension.riesz_potential_radial(hs, float(x))
@@ -86,8 +86,7 @@ def lemma_a_worst(n, s):
 
 def boundary_rate(basis):
     """Fitted boundary decay exponent of zeta0 = (-Delta)^(-s) 1."""
-    zeta0 = spectral.inv_frac_laplacian(spectral.analyze(basis, lambda r: np.ones_like(r)))
-    return regularity.boundary_decay_rate(zeta0)
+    return regularity.boundary_decay_rate(spectral._zeta0(basis))
 
 
 def max_radial_slope(points):
@@ -96,16 +95,19 @@ def max_radial_slope(points):
     Truncation ringing pollutes the derivative series near the axis and the
     boundary, so monotonicity is checked on resolved radii.
     """
+    if not points:
+        raise ValueError("no branch points")
     radii = np.linspace(0.05, 0.95, 100)
     return max(float(np.max(spectral.evaluate_deriv(p.u, radii))) for p in points)
 
 
 def weighted_key_ratio(br):
     """Ratio of the weighted v_rho integral at the fold to the point before it."""
-    n = br.points[0].u.basis.n
     idx = br.fold_index if br.fold_index is not None else len(br.points) - 1
+    if idx < 1:
+        raise ValueError(f"no branch point before the fold (walk: {br.stop})")
     spec = extension.CutoffSpec(
-        alpha=1.0 + math.sqrt(n - 1.0) - 0.1, epsilon=0.01, R=5.0
+        alpha=1.0 + math.sqrt(br.points[idx].u.basis.n - 1.0) - 0.1, epsilon=0.01, R=5.0
     )
     vals = [
         extension.weighted_vrho_integral(p.u, spec)
@@ -133,11 +135,11 @@ def y_decay_rate(u):
 
 def phi1_identity_error(points, f):
     """Largest relative gap in mu_1^s c_1 = lambda (P f(u))_1 over the points."""
+    basis = points[0].u.basis
+    term = branchsolve._NonlinearTerm(basis, f)
     worst = 0.0
     for p in points:
-        basis = p.u.basis
         lhs = basis.mu[0] ** basis.s * p.u.c[0]
-        fu = spectral.analyze(basis, f.eval(branchsolve.nonlinear_node_values(p.u)))
-        rhs = p.lam * fu.c[0]
+        rhs = p.lam * term(term._nonlinear_nodes(p.u.c))[0]
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return worst

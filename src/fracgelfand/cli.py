@@ -214,6 +214,8 @@ def run_verify(cfg, names=None):
             continue
         try:
             m = float(margin(basis, f, rng, branch))
+            if not math.isfinite(m):
+                raise ValueError(f"margin is {m}")
         except Exception as exc:  # individual failures must not abort the suite
             report[name] = {"status": "fail", "margin": None, "error": str(exc)}
             continue

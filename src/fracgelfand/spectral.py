@@ -212,6 +212,11 @@ def inv_frac_laplacian(h):
     return RadialCoeffs(h.basis, h.basis.mu ** (-h.basis.s) * h.c)
 
 
+def _zeta0(basis):
+    """zeta0 = (-Delta)^(-s) 1, whose projection P[1] = Phi W needs no samples."""
+    return RadialCoeffs(basis, basis.mu ** (-basis.s) * (basis.phi_table @ basis.quad_weights))
+
+
 def h_norm(u):
     """Energy norm sqrt(sum mu_k^s c_k^2)."""
     return math.sqrt(float(np.sum(u.basis.mu ** u.basis.s * u.c ** 2)))

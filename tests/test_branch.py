@@ -6,7 +6,6 @@ solve can be checked against a first-order expansion.  The classical case
 s = 1, n = 2, f = exp has the known extremal parameter lambda* = 2.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +64,14 @@ class TestResidual:
         assert r.c[0] == pytest.approx(basis.mu[0] ** basis.s)
         assert np.max(np.abs(r.c[1:])) < 1e-12
 
+    def test_equals_full_node_residual_with_cut_nodes(self, fexp):
+        basis = spectral.build_basis(6, 0.7, 128)
+        assert np.count_nonzero(~_kept(basis)) == 18
+        u = spectral.analyze(basis, lambda rho: 2.0 * (1.0 - rho ** 2))
+        want = basis.mu ** basis.s * u.c - 1.5 * _full_projection(basis, u.c, fexp)
+        got = branchsolve.residual(u, 1.5, fexp).c
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_vanishes_at_solution(self, basis, fexp):
         u = branchsolve.monotone_iterate(basis, 1.0, fexp, tol=1e-12)
         r = branchsolve.residual(u, 1.0, fexp)
@@ -106,16 +113,17 @@ class TestMonotoneIteration:
             branchsolve.monotone_iterate(basis, -1.0, fexp)
 
     @pytest.mark.parametrize("K", [16, 128, 512])
-    @pytest.mark.parametrize("n", [2, 3, 6, 10, 20])
-    def test_weight_cut_is_a_prefix(self, n, K):
-        # monotone_iterate steps on the nodes from the first kept one on
-        keep = branchsolve._kept_nodes(spectral.build_basis(n, 0.5, K))
-        j0 = int(np.argmax(keep))
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 10, 20])
+    def test_weight_cut_is_a_prefix(self, n, K, fexp):
+        # the solvers step on the nodes from the first kept one on
+        basis = spectral.build_basis(n, 0.5, K)
+        j0 = branchsolve._NonlinearTerm(basis, fexp).j0
+        keep = _kept(basis)
         assert not keep[:j0].any() and keep[j0:].all()
 
     def test_equals_full_node_loop_without_cut_nodes(self, fexp):
         basis = spectral.build_basis(3, 0.5, 32)
-        assert branchsolve._kept_nodes(basis).all()
+        assert _kept(basis).all()
         for lam in (0.3, 1.0):
             u = branchsolve.monotone_iterate(basis, lam, fexp)
             assert np.array_equal(u.c, _full_node_iterate(basis, lam, fexp))
@@ -127,22 +135,37 @@ class TestMonotoneIteration:
 
     def test_keeps_the_cut_nodes_share_at_n20(self, fexp):
         # 74 of the 256 nodes are cut; without their f(0) share of the
-        # projection the residual norm is 3.2e-8
+        # projection the full-node residual norm is 3.2e-8
         basis = spectral.build_basis(20, 0.5, 64)
         u = branchsolve.monotone_iterate(basis, 3.0, fexp)
-        assert np.linalg.norm(branchsolve.residual(u, 3.0, fexp).c) <= 1e-8
+        res = basis.mu ** basis.s * u.c - 3.0 * _full_projection(basis, u.c, fexp)
+        assert np.linalg.norm(res) <= 1e-8
+
+
+def _kept(basis):
+    """The weight cut written out: nodes whose weight exceeds WEIGHT_CUT of the largest."""
+    w = basis.quad_weights
+    return w > branchsolve.WEIGHT_CUT * w.max()
+
+
+def _full_nodes(basis, c):
+    """Filtered synthesis at every node, zero on the cut nodes."""
+    vals = spectral.filtered(spectral.RadialCoeffs(basis, c)).c @ basis.phi_table
+    return np.where(_kept(basis), vals, 0.0)
+
+
+def _full_projection(basis, c, f):
+    """P[f(u)] over every node: Phi W f(u), f(0) on the cut nodes."""
+    return basis.phi_table @ (basis.quad_weights * f.eval(_full_nodes(basis, c)))
 
 
 def _full_node_iterate(basis, lam, f):
     """The monotone iteration over every node; returns the coefficients."""
-    # with mu = 0 and lambda = 1 the residual is exactly -P[f(u)]
-    no_mu = dataclasses.replace(basis, mu=np.zeros(basis.K))
     c = np.zeros(basis.K)
-    u_nodes = branchsolve._nonlinear_nodes(basis, c)
+    u_nodes = _full_nodes(basis, c)
     for m in range(1, 4001):
-        proj = -branchsolve.residual(spectral.RadialCoeffs(no_mu, c), 1.0, f).c
-        c_new = lam * basis.mu ** (-basis.s) * proj
-        new_nodes = branchsolve._nonlinear_nodes(basis, c_new)
+        c_new = lam * basis.mu ** (-basis.s) * _full_projection(basis, c, f)
+        new_nodes = _full_nodes(basis, c_new)
         amp = float(np.max(np.abs(new_nodes)))
         if not amp <= branchsolve.BLOWUP_THRESHOLD:
             raise branchsolve.DivergenceSignal(lam, m, amp)

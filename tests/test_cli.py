@@ -275,6 +275,42 @@ class TestCli:
             "fold refinement failed: Newton did not converge at t=1.5 (injected)"
         }
 
+    def test_verify_without_branch_points_passes_no_branch_check(self, tmp_path, monkeypatch):
+        # the walk stops at its first t with zero points: every branch check
+        # must fail with its cause, and verify.json must stay strict JSON
+        def fails(basis, t, f, guess=None):
+            raise branchsolve.NewtonError(f"Newton did not converge at t={t} (injected)")
+
+        names = ["riesz_bound", "radial_monotonicity", "weighted_key_estimate",
+                 "stability_weighted_inequality", "exp_decay_y", "phi1_identity"]
+        monkeypatch.setattr(branchsolve, "newton_solve", fails)
+        rc = cli.main(["verify", *ARGS, "--out-dir", str(tmp_path),
+                       "--checks", ",".join(names)])
+        assert rc == 1
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token} in verify.json")
+
+        report = json.loads((tmp_path / "verify.json").read_text(), parse_constant=reject)
+        assert set(report) == set(names)
+        stop = "(walk: Newton did not converge at t=0.5 (injected))"
+        assert {e["error"] for e in report.values()} == {
+            "no branch points",
+            f"no branch point before the fold {stop}",
+            f"no stable branch points before the fold {stop}",
+        }
+        assert all(e["status"] == "fail" and e["margin"] is None for e in report.values())
+
+    def test_verify_fails_a_non_finite_margin(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.checks, "gram_error", lambda basis: float("inf"))
+        rc = cli.main(["verify", *ARGS, "--out-dir", str(tmp_path), "--checks", "orthonormality"])
+        assert rc == 1
+        text = (tmp_path / "verify.json").read_text()
+        assert "Infinity" not in text
+        assert json.loads(text)["orthonormality"] == {
+            "status": "fail", "margin": None, "error": "margin is inf",
+        }
+
     def test_verify_detects_injected_fault(self, tmp_path, monkeypatch):
         # perturb the second mode's samples; orthonormality must trip
         real_build = spectral.build_basis
