@@ -122,16 +122,42 @@ class TestMonotoneIteration:
         assert not keep[:j0].any() and keep[j0:].all()
 
     def test_equals_full_node_loop_without_cut_nodes(self, fexp):
+        # lambda-hat = 1.07055 here; Picard alone converges at 1.067 and
+        # blows up at 1.072, each after more than CERTIFY_AFTER steps
         basis = spectral.build_basis(3, 0.5, 32)
         assert _kept(basis).all()
         for lam in (0.3, 1.0):
             u = branchsolve.monotone_iterate(basis, lam, fexp)
             assert np.array_equal(u.c, _full_node_iterate(basis, lam, fexp))
-        with pytest.raises(branchsolve.DivergenceSignal) as got:
+        u = branchsolve.monotone_iterate(basis, 1.067, fexp)
+        assert np.max(np.abs(u.c - _full_node_iterate(basis, 1.067, fexp))) < 1e-7
+        for lam in (1.5, 1.072):
+            with pytest.raises(branchsolve.DivergenceSignal) as got:
+                branchsolve.monotone_iterate(basis, lam, fexp)
+            with pytest.raises(branchsolve.DivergenceSignal) as want:
+                _full_node_iterate(basis, lam, fexp)
+            assert not got.value.exhausted
+            assert got.value.iterations == want.value.iterations
+        assert want.value.iterations > branchsolve.CERTIFY_AFTER
+
+    def test_certifies_a_step_picard_cannot_finish(self, fexp):
+        # Picard alone runs out of its 4000 steps here; the certified point
+        # passes Picard's node test and is stable
+        basis = spectral.build_basis(20, 0.5, 512)
+        lam = 3.2777160763740545
+        u = branchsolve.monotone_iterate(basis, lam, fexp)
+        step = lam * basis.mu ** (-basis.s) * _full_projection(basis, u.c, fexp)
+        moved = _full_nodes(basis, step) - _full_nodes(basis, u.c)
+        assert np.max(np.abs(moved)) < branchsolve.MONOTONE_TOL
+        assert branchsolve.stability_eigenvalue(u, lam, fexp) > 0.0
+
+    def test_exhausted_budget_is_named(self, fexp):
+        basis = spectral.build_basis(3, 0.5, 32)
+        with pytest.raises(branchsolve.DivergenceSignal, match="ran out of its 50") as got:
+            branchsolve.monotone_iterate(basis, 1.067, fexp, max_iter=50)
+        assert got.value.exhausted and got.value.iterations == 50
+        with pytest.raises(branchsolve.DivergenceSignal, match="blew up at iteration 7"):
             branchsolve.monotone_iterate(basis, 1.5, fexp)
-        with pytest.raises(branchsolve.DivergenceSignal) as want:
-            _full_node_iterate(basis, 1.5, fexp)
-        assert got.value.iterations == want.value.iterations
 
     def test_keeps_the_cut_nodes_share_at_n20(self, fexp):
         # 74 of the 256 nodes are cut; without their f(0) share of the
@@ -159,6 +185,20 @@ def _full_projection(basis, c, f):
     return basis.phi_table @ (basis.quad_weights * f.eval(_full_nodes(basis, c)))
 
 
+def _complex_step_jacobian(basis, c, lam, f):
+    """diag(mu^s) - lam dP/dc for the P of `_full_projection`, by complex steps.
+
+    Column k is Im P(c + i h e_k) / h: the cut nodes keep u = 0 and the
+    synthesis is filtered by sigma_k = exp(-36 (k/K)^8).
+    """
+    h = 1e-30
+    sigma = np.exp(-36.0 * (np.arange(1, basis.K + 1) / basis.K) ** 8)
+    cols = c[:, None] + 1j * h * np.eye(basis.K)
+    nodes = np.where(_kept(basis)[:, None], basis.phi_table.T @ (sigma[:, None] * cols), 0.0)
+    dP = (basis.phi_table @ (basis.quad_weights[:, None] * f.eval(nodes))).imag / h
+    return np.diag(basis.mu ** basis.s) - lam * dP
+
+
 def _full_node_iterate(basis, lam, f):
     """The monotone iteration over every node; returns the coefficients."""
     c = np.zeros(basis.K)
@@ -168,12 +208,14 @@ def _full_node_iterate(basis, lam, f):
         new_nodes = _full_nodes(basis, c_new)
         amp = float(np.max(np.abs(new_nodes)))
         if not amp <= branchsolve.BLOWUP_THRESHOLD:
-            raise branchsolve.DivergenceSignal(lam, m, amp)
+            raise branchsolve.DivergenceSignal(lam, m, amp, exhausted=False)
         diff = float(np.max(np.abs(new_nodes - u_nodes)))
         c, u_nodes = c_new, new_nodes
         if diff < branchsolve.MONOTONE_TOL:
             return c
-    raise branchsolve.DivergenceSignal(lam, 4000, float(np.max(np.abs(u_nodes))))
+    raise branchsolve.DivergenceSignal(
+        lam, 4000, float(np.max(np.abs(u_nodes))), exhausted=True
+    )
 
 
 class TestNewton:
@@ -216,12 +258,24 @@ class TestStability:
         assert nu == pytest.approx(basis.mu[0] ** basis.s, rel=1e-12)
 
     def test_zero_solution_shifts_linearly(self, basis, fexp):
-        # f'(0) = 1 for exp, so the operator is diag(mu^s) - lam * (projection);
-        # its bottom eigenvalue at u = 0 is mu_1^s - lam
+        # f'(0) = 1 for exp and no node is cut, so the operator is
+        # diag(mu^s - lam sigma); its bottom eigenvalue at u = 0 is
+        # mu_1^s - lam sigma_1, sigma_1 = exp(-36 / K^8)
         lam = 0.7
         zero = spectral.RadialCoeffs(basis, np.zeros(basis.K))
         nu = branchsolve.stability_eigenvalue(zero, lam, fexp)
-        assert nu == pytest.approx(basis.mu[0] ** basis.s - lam, rel=1e-10)
+        sigma1 = math.exp(-36.0 / basis.K ** 8)
+        assert nu == pytest.approx(basis.mu[0] ** basis.s - lam * sigma1, rel=1e-10)
+
+    def test_is_the_bottom_eigenvalue_of_the_residual_jacobian(self, fexp):
+        # 74 of the 256 nodes are cut; near lambda-hat = 3.27848 the form
+        # diag(mu^s) - lam Phi W f'(u) Phi^T over every node reads 1.285
+        basis = spectral.build_basis(20, 0.5, 64)
+        lam = 3.2784
+        u = branchsolve.monotone_iterate(basis, lam, fexp)
+        want = np.min(np.linalg.eigvals(_complex_step_jacobian(basis, u.c, lam, fexp)).real)
+        got = branchsolve.stability_eigenvalue(u, lam, fexp)
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_minimal_branch_is_stable(self, basis, fexp):
         for lam in (0.2, 0.6, 1.0):
@@ -305,7 +359,7 @@ class TestPicardBisect:
         def threshold(basis, lam, f, max_iter=4000):
             calls.append(lam)
             if lam >= 3.25:
-                raise branchsolve.DivergenceSignal(lam, 1, float("inf"))
+                raise branchsolve.DivergenceSignal(lam, 1, float("inf"), exhausted=False)
 
         monkeypatch.setattr(branchsolve, "monotone_iterate", threshold)
         lo, hi = branchsolve.picard_bisect(None, None, 0.1, 8.0, width=1e-11)
@@ -325,7 +379,7 @@ class TestPicardBisect:
             calls.append(lam)
             assert len(calls) < 200, "bisection does not stop"
             if lam >= 3.25:
-                raise branchsolve.DivergenceSignal(lam, 1, float("inf"))
+                raise branchsolve.DivergenceSignal(lam, 1, float("inf"), exhausted=False)
 
         monkeypatch.setattr(branchsolve, "monotone_iterate", threshold)
         with pytest.raises(ValueError, match="width must be > 0"):

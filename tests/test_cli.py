@@ -125,7 +125,7 @@ class TestCli:
         # with no lambda at which the iteration converges there is no bracket;
         # the run still writes both files and names the reason
         def always_diverges(basis, lam, f, max_iter=4000):
-            raise branchsolve.DivergenceSignal(lam, 1, float("inf"))
+            raise branchsolve.DivergenceSignal(lam, 1, float("inf"), exhausted=False)
 
         monkeypatch.setattr(branchsolve, "monotone_iterate", always_diverges)
         rc = cli.main(["branch", *ARGS, "--out-dir", str(tmp_path)])
@@ -137,7 +137,7 @@ class TestCli:
 
     def test_branch_walks_once_when_iteration_diverges(self, tmp_path, monkeypatch):
         def always_diverges(basis, lam, f, max_iter=4000):
-            raise branchsolve.DivergenceSignal(lam, 1, float("inf"))
+            raise branchsolve.DivergenceSignal(lam, 1, float("inf"), exhausted=False)
 
         walks = _count_walks(monkeypatch)
         monkeypatch.setattr(branchsolve, "monotone_iterate", always_diverges)
