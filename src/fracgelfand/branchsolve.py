@@ -170,8 +170,7 @@ class _NonlinearTerm:
         nodes hold u~ = 0 whatever c is, and u~ is the filtered synthesis.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            fpu = self.f.deriv(u_nodes[self.j0:])
-            return (self.phi * (self.w * fpu)) @ self.phi.T
+            return _gram(self.phi, self.w * self.f.deriv(u_nodes[self.j0:]))
 
 
 def residual(u, lam, f):
@@ -181,10 +180,25 @@ def residual(u, lam, f):
     return spectral.RadialCoeffs(u.basis, spectral.frac_laplacian(u).c - lam * proj)
 
 
+def _gram(phi, g):
+    """Phi diag(g) Phi^T as B B^T with B = Phi |g|^(1/2), exactly symmetric.
+
+    numpy runs a product of a matrix with its own transpose as one SYRK,
+    half the flops of a general product.  Nodes with g < 0 (f' < 0 at a
+    negative iterate, which an admissible f may have) are summed apart and
+    subtracted.
+    """
+    b = phi * np.sqrt(np.abs(g))
+    neg = g < 0
+    if not neg.any():
+        return b @ b.T
+    b_pos, b_neg = b[:, ~neg], b[:, neg]
+    return b_pos @ b_pos.T - b_neg @ b_neg.T
+
+
 def _fprime_matrix(basis, u_nodes, f):
     with np.errstate(over="ignore", invalid="ignore"):
-        w = basis.quad_weights * f.deriv(u_nodes)
-        return (basis.phi_table * w) @ basis.phi_table.T
+        return _gram(basis.phi_table, basis.quad_weights * f.deriv(u_nodes))
 
 
 def stability_eigenvalue(u, lam, f):
@@ -418,32 +432,74 @@ def continue_branch(basis, t_grid, f):
 
 
 def _refine_fold(basis, br, f):
-    """Golden-section maximization of lambda(t) around the detected fold."""
+    """Brent's maximization of lambda(t) around the detected fold.
+
+    Brent, "Algorithms for Minimization without Derivatives" (1973), ch. 5:
+    a parabola through the three best points gives the next t, and a
+    golden-section step replaces it where the parabola would not shrink the
+    bracket fast enough.  The search starts from the walked fold point,
+    between its two neighbours, and warm-starts each solve from the best
+    point so far.  It stops when the bracket is narrower than
+    1e-7 max(1, b), or after 40 steps.  The best point is inserted unless it
+    is the walked one.
+    """
     i = br.fold_index
     a = br.points[max(i - 1, 0)].t
     b = br.points[min(i + 1, len(br.points) - 1)].t
-    guess = (br.points[i].u, br.points[i].lam)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    p1 = newton_solve(basis, x1, f, guess=guess)
-    p2 = newton_solve(basis, x2, f, guess=guess)
+    best = br.points[i]
+    # x is the best t so far, w the second best, v the previous w; the
+    # search minimizes -lambda, as Brent's is written
+    x = w = v = best.t
+    fx = fw = fv = -float(best.lam)
+    d = e = 0.0
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
     for _ in range(40):
-        if b - a < 1e-7 * max(1.0, b):
+        width = 1e-7 * max(1.0, b)
+        if b - a < width:
             break
-        if p1.lam < p2.lam:
-            a, x1, p1 = x1, x2, p2
-            x2 = a + invphi * (b - a)
-            p2 = newton_solve(basis, x2, f, guess=(p1.u, p1.lam))
+        step_min = width / 3.0  # so that [x - step_min, x + step_min] ends the search
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step_min:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept a step inside (a, b) shorter than half the step before last
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+            e = d
+        if parabolic:
+            d = p / q
+            if x + d - a < 2.0 * step_min or b - (x + d) < 2.0 * step_min:
+                d = step_min if x < mid else -step_min
         else:
-            b, x2, p2 = x2, x1, p1
-            x1 = b - invphi * (b - a)
-            p1 = newton_solve(basis, x1, f, guess=(p2.u, p2.lam))
-    best = p1 if p1.lam >= p2.lam else p2
-    # insert the refined fold point in amplitude order
-    ts = [p.t for p in br.points]
-    pos = int(np.searchsorted(ts, best.t))
-    br.points.insert(pos, best)
+            e = (b if x < mid else a) - x
+            d = golden * e
+        t = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
+        point = newton_solve(basis, t, f, guess=(best.u, best.lam))
+        ft = -float(point.lam)
+        if ft <= fx:
+            if t < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx, best = w, fw, x, fx, t, ft, point
+        else:
+            if t < x:
+                a = t
+            else:
+                b = t
+            if ft <= fw or w == x:
+                v, fv, w, fw = w, fw, t, ft
+            elif ft <= fv or v == x or v == w:
+                v, fv = t, ft
+    if best is not br.points[i]:
+        # insert the refined fold point in amplitude order
+        ts = [pt.t for pt in br.points]
+        br.points.insert(int(np.searchsorted(ts, best.t)), best)
     lams = [p.lam for p in br.points]
     br.fold_index = int(np.argmax(lams))
 

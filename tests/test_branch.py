@@ -218,6 +218,36 @@ def _full_node_iterate(basis, lam, f):
     )
 
 
+def _rel_max(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestGram:
+    """F = Phi diag(g) Phi^T built as symmetric products, against the direct product."""
+
+    def test_random_sign_weights(self, basis):
+        g = np.random.default_rng(3).standard_normal(basis.phi_table.shape[1])
+        F = branchsolve._gram(basis.phi_table, g)
+        assert np.array_equal(F, F.T)
+        assert _rel_max(F, (basis.phi_table * g) @ basis.phi_table.T) <= 1e-13
+
+    def test_derivative_negative_where_f_decreases(self):
+        # f = 1 + u^2 is admissible (nondecreasing on [0, 100]) but f' < 0 at
+        # u < 0, where a plain square root of the weights would give NaN
+        f = branchsolve.Nonlinearity("quad", lambda u: 1.0 + u ** 2, lambda u: 2.0 * u)
+        basis = spectral.build_basis(6, 0.7, 64)
+        u_nodes = np.random.default_rng(4).uniform(-1.0, 1.0, basis.quad_nodes.size)
+        term = branchsolve._NonlinearTerm(basis, f)
+        assert term.j0 > 0 and np.any(u_nodes[term.j0:] < 0)
+        for F, phi, g in (
+            (term.derivative(u_nodes), term.phi, term.w * f.deriv(u_nodes[term.j0:])),
+            (branchsolve._fprime_matrix(basis, u_nodes, f), basis.phi_table,
+             basis.quad_weights * f.deriv(u_nodes)),
+        ):
+            assert np.array_equal(F, F.T)
+            assert _rel_max(F, (phi * g) @ phi.T) <= 1e-13
+
+
 class TestNewton:
     def test_zero_amplitude(self, basis, fexp):
         p = branchsolve.newton_solve(basis, 0.0, fexp)
@@ -318,6 +348,32 @@ class TestBranch:
     def test_extremal_solution(self, branch):
         p = branchsolve.extremal_solution(branch)
         assert p.lam == branch.lambda_max
+
+
+class TestFoldRefinement:
+    def test_classical_fold(self, fexp, monkeypatch):
+        # s = 1, n = 2, f = exp (Liouville-Bratu): lambda(t) = 8 (e^(-t/2) - e^(-t))
+        # has its maximum lambda* = 2 at u(0) = t = ln 4; the walk's grid
+        # spacing 0.25 brackets it by [1.25, 1.75]
+        basis = spectral.build_basis(2, 1.0, 128)
+        t_grid = np.linspace(0.0, 3.0, 13)[1:]
+        calls = []
+        solve = branchsolve.newton_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(branchsolve, "newton_solve", counted)
+        br = branchsolve.continue_branch(basis, t_grid, fexp)
+        assert br.stop == "grid end"
+        fold = br.points[br.fold_index]
+        assert type(fold.t) is float
+        assert abs(fold.t - math.log(4.0)) <= 3e-7
+        assert abs(fold.nu1) <= 1e-6
+        assert fold.lam == pytest.approx(2.0, rel=1e-10)
+        # one solve per grid point for the walk, the rest refine the fold
+        assert len(calls) - len(t_grid) <= 20
 
 
 class TestLambdaStar:
