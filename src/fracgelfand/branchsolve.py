@@ -318,13 +318,14 @@ def amplitude(u):
     Raw partial sums at the origin converge slowly (phi_k(0) grows like
     k^{(n-1)/2}), and in higher dimension the unfiltered value is dominated
     by the truncation tail.  The filtered value is exact to rounding for
-    functions the basis resolves.
+    functions the basis resolves.  Newton's amplitude constraint uses the
+    same row.
     """
-    return spectral.evaluate(spectral.filtered(u), 0.0)
+    return float(_amplitude_row(u.basis) @ u.c)
 
 
 def _amplitude_row(basis):
-    """Linear functional c -> amplitude(u) as a coefficient-space row."""
+    """The filtered phi_k(0) as a coefficient-space row: amplitude(u) = row @ c."""
     row = basis.phi_matrix(np.array([0.0]))[:, 0]
     return spectral.filtered(spectral.RadialCoeffs(basis, row)).c
 
@@ -390,9 +391,9 @@ def continue_branch(basis, t_grid, f):
 
     Secant predictor between consecutive solves; the walk stops at the first
     NewtonError, whose message (naming its t) becomes `Branch.stop`.  The
-    fold is marked where lambda first decreases, refined by maximizing
-    lambda(t) and inserted as an extra branch point; a failed refinement
-    raises BranchError carrying the walked branch.
+    fold is marked where lambda first decreases, refined to the zero of nu1
+    between the walked points around it and inserted as an extra branch
+    point; a failed refinement raises BranchError carrying the walked branch.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
@@ -432,76 +433,46 @@ def continue_branch(basis, t_grid, f):
 
 
 def _refine_fold(basis, br, f):
-    """Brent's maximization of lambda(t) around the detected fold.
+    """The fold as the root of nu1(t) between the walked points around it.
 
-    Brent, "Algorithms for Minimization without Derivatives" (1973), ch. 5:
-    a parabola through the three best points gives the next t, and a
-    golden-section step replaces it where the parabola would not shrink the
-    bracket fast enough.  The search starts from the walked fold point,
-    between its two neighbours, and warm-starts each solve from the best
-    point so far.  It stops when the bracket is narrower than
-    1e-7 max(1, b), or after 40 steps.  The best point is inserted unless it
-    is the walked one.
+    At the fold the Jacobian of the residual is singular, so nu1 = 0
+    (Keller 1977).  The bracket is the pair of walked points next to the
+    detected fold between which nu1 changes sign; without one, NewtonError
+    names the three points.  Regula falsi with the Illinois halving (Dowell
+    & Jarratt, BIT 11, 1971) shrinks it, one solve per step, warm-started
+    from the point of smallest |nu1| so far.  It stops when the bracket is
+    narrower than 1e-7 max(1, b), or after 40 steps, and inserts that
+    point; the fold stays the point of largest lambda.
     """
     i = br.fold_index
-    a = br.points[max(i - 1, 0)].t
-    b = br.points[min(i + 1, len(br.points) - 1)].t
-    best = br.points[i]
-    # x is the best t so far, w the second best, v the previous w; the
-    # search minimizes -lambda, as Brent's is written
-    x = w = v = best.t
-    fx = fw = fv = -float(best.lam)
-    d = e = 0.0
-    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    around = br.points[i - 1 : i + 2]
+    pairs = [(p, q) for p, q in zip(around, around[1:]) if p.nu1 > 0 >= q.nu1]
+    if not pairs:
+        raise NewtonError("nu1 does not change sign around the fold: " + ", ".join(
+            f"nu1={p.nu1:.3e} at t={p.t}" for p in around))
+    lo, hi = pairs[0]
+    a, fa, b, fb = lo.t, lo.nu1, hi.t, hi.nu1
+    best = min(lo, hi, key=lambda p: abs(p.nu1))
+    kept = None  # the bracket end the last step kept
     for _ in range(40):
-        width = 1e-7 * max(1.0, b)
-        if b - a < width:
+        if b - a < 1e-7 * max(1.0, b):
             break
-        step_min = width / 3.0  # so that [x - step_min, x + step_min] ends the search
-        mid = 0.5 * (a + b)
-        parabolic = False
-        if abs(e) > step_min:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            # accept a step inside (a, b) shorter than half the step before last
-            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
-            e = d
-        if parabolic:
-            d = p / q
-            if x + d - a < 2.0 * step_min or b - (x + d) < 2.0 * step_min:
-                d = step_min if x < mid else -step_min
-        else:
-            e = (b if x < mid else a) - x
-            d = golden * e
-        t = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
+        t = b - fb * (b - a) / (fb - fa)
         point = newton_solve(basis, t, f, guess=(best.u, best.lam))
-        ft = -float(point.lam)
-        if ft <= fx:
-            if t < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx, best = w, fw, x, fx, t, ft, point
+        if abs(point.nu1) < abs(best.nu1):
+            best = point
+        if point.nu1 > 0:
+            if kept == "b":  # kept twice in a row: halve its value (Illinois)
+                fb *= 0.5
+            a, fa, kept = t, point.nu1, "b"
         else:
-            if t < x:
-                a = t
-            else:
-                b = t
-            if ft <= fw or w == x:
-                v, fv, w, fw = w, fw, t, ft
-            elif ft <= fv or v == x or v == w:
-                v, fv = t, ft
-    if best is not br.points[i]:
+            if kept == "a":
+                fa *= 0.5
+            b, fb, kept = t, point.nu1, "a"
+    if best is not lo and best is not hi:
         # insert the refined fold point in amplitude order
-        ts = [pt.t for pt in br.points]
-        br.points.insert(int(np.searchsorted(ts, best.t)), best)
-    lams = [p.lam for p in br.points]
-    br.fold_index = int(np.argmax(lams))
+        br.points.insert(int(np.searchsorted([p.t for p in br.points], best.t)), best)
+    br.fold_index = int(np.argmax([p.lam for p in br.points]))
 
 
 def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3):

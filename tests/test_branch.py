@@ -264,6 +264,13 @@ class TestNewton:
         z0 = branchsolve.amplitude(zeta0)
         assert p.lam == pytest.approx(t / z0, rel=1e-3)
 
+    def test_amplitude_is_the_filtered_value_at_the_origin(self):
+        basis = spectral.build_basis(6, 0.5, 256)
+        u = spectral.RadialCoeffs(basis, np.random.default_rng(3).normal(size=basis.K))
+        terms = spectral.filtered(u).c * basis.phi_matrix(np.array([0.0]))[:, 0]
+        expected = spectral.evaluate(spectral.filtered(u), 0.0)
+        assert abs(branchsolve.amplitude(u) - expected) <= 1e-14 * np.sum(np.abs(terms))
+
     def test_amplitude_constraint_holds(self, basis, fexp):
         p = branchsolve.newton_solve(basis, 1.7, fexp)
         assert branchsolve.amplitude(p.u) == pytest.approx(1.7, abs=1e-9)
@@ -374,6 +381,31 @@ class TestFoldRefinement:
         assert fold.lam == pytest.approx(2.0, rel=1e-10)
         # one solve per grid point for the walk, the rest refine the fold
         assert len(calls) - len(t_grid) <= 20
+
+    def test_flat_fold(self, fexp):
+        # at (5, 0.3) lambda(t) is so flat around the fold that its largest
+        # value is Newton's stopping error; nu1 still crosses zero cleanly
+        basis = spectral.build_basis(5, 0.3, 128)
+        t_grid = np.linspace(0.0, 2.5, 11)[1:]
+        br = branchsolve.continue_branch(basis, t_grid, fexp)
+        fold = br.points[br.fold_index]
+        assert fold.t not in t_grid
+        assert br.fold_index == int(np.argmax([p.lam for p in br.points]))
+        assert abs(fold.nu1) <= 1e-7
+
+    def test_missing_sign_change_is_named(self, fexp, monkeypatch):
+        # nu1 > 0 everywhere: no bracket around the fold, and the walked
+        # branch comes back with the error
+        monkeypatch.setattr(branchsolve, "stability_eigenvalue", lambda u, lam, f: 1.0)
+        basis = spectral.build_basis(2, 1.0, 32)
+        t_grid = np.linspace(0.0, 3.0, 13)[1:]
+        with pytest.raises(branchsolve.BranchError) as err:
+            branchsolve.continue_branch(basis, t_grid, fexp)
+        assert str(err.value) == (
+            "fold refinement failed: nu1 does not change sign around the fold: "
+            "nu1=1.000e+00 at t=1.25, nu1=1.000e+00 at t=1.5, nu1=1.000e+00 at t=1.75"
+        )
+        assert [p.t for p in err.value.branch.points] == list(t_grid)
 
 
 class TestLambdaStar:
