@@ -85,7 +85,10 @@ def bessel_j_zeros(nu, count):
     """First `count` positive zeros of J_nu, strictly increasing.
 
     McMahon initial guesses refined by Newton; each returned zero satisfies
-    |J_nu(j)| <= 1e-12.
+    |J_nu(j)| <= 1e-12.  The search evaluates J_nu and J_nu' by scalar
+    `special.jv` / `special.jvp`, the only such calls left in the package:
+    the zeros define the basis, and every table of J values goes through
+    `spectral._bessel_j` instead.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -51,17 +51,17 @@ class BallBasis:
         )
 
     def phi_prime_matrix(self, rho):
-        """(K, len(rho)) table of d(phi_k)/d(rho); zero on the axis."""
+        """(K, len(rho)) table of d(phi_k)/d(rho); zero on the axis.
+
+        d(phi_k)/d(rho) = -N_k j_k rho * rho^(-nu-1) J_{nu+1}(j_k rho), so the
+        radial kernel of order nu + 1 gives it, its series included: near the
+        axis rho^(-nu) alone overflows where J_{nu+1} underflows.
+        """
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         roots = np.sqrt(self.mu)
-        with np.errstate(divide="ignore"):
-            pref = np.where(rho > 0, rho, 1.0) ** (-self.nu)
-        out = -self.norm_consts[:, None] * roots[:, None] * pref[None, :] * special.jv(
-            self.nu + 1.0, roots[:, None] * rho[None, :]
+        return -(self.norm_consts * roots)[:, None] * rho[None, :] * _radial_kernel(
+            self.nu + 1.0, roots[:, None], rho[None, :]
         )
-        if self.nu > 0:
-            out[:, rho == 0.0] = 0.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,69 @@ class RadialCoeffs:
             raise ValueError(f"expected {self.basis.K} coefficients, got {self.c.shape}")
 
 
+# entries per block of _bessel_j: the recurrence's temporaries stay a few MB
+# whatever the size of the table, and with out=z a table build holds one
+# K x Q array where a whole-table evaluation holds three
+_BESSEL_BLOCK = 2 ** 16
+
+
+def _bessel_j(nu, z, out=None):
+    """J_nu(z) elementwise on an array z >= 0, nu >= 0 an integer or half-integer.
+
+    The basis needs the orders nu = n/2 - 1 and nu + 1, so one upward
+    recurrence, J_{m+1} = (2m/z) J_m - J_{m-1}, covers every dimension; only
+    its two seeds differ: J_0 and J_1 (`special.j0`, `j1`) for integer nu,
+    J_{-1/2} = sqrt(2/(pi z)) cos z and J_{1/2} = sqrt(2/(pi z)) sin z for
+    half-integer nu.  The recurrence is stable where z >= nu; below that
+    (nu > 1 only) the entries come from `special.jv`: 3-6 % of a K = 1024
+    basis table, 10-22 % at K = 64.  z = 0 is exact.  The rows of z (the
+    modes of a table) are computed in blocks of about _BESSEL_BLOCK entries,
+    so `out` may be z itself: a block is read before it is written.
+    """
+    if nu < 0 or 2.0 * nu != int(2.0 * nu):
+        raise ValueError(f"order {nu} is not a non-negative integer or half-integer")
+    z = np.asarray(z, dtype=float)
+    if out is None:
+        out = np.empty_like(z)
+    step = max(1, _BESSEL_BLOCK * len(z) // max(1, z.size))
+    for lo in range(0, len(z), step):
+        out[lo:lo + step] = _bessel_j_block(nu, z[lo:lo + step])
+    return out
+
+
+def _bessel_j_block(nu, z):
+    """_bessel_j on one block: jv below z = nu, the seeds and recurrence above."""
+    out = np.empty_like(z)
+    rec = z >= nu if nu > 1 else z != 0.0
+    out[~rec] = special.jv(nu, z[~rec]) if nu > 1 else float(nu == 0)
+    x = z[rec]
+    if nu == int(nu):
+        m, cur = 0.0, special.j0(x)
+        if nu >= 1:
+            m, prev, cur = 1.0, cur, special.j1(x)
+    else:
+        amp = np.sqrt(2.0 / (math.pi * x))
+        m, cur = 0.5, amp * np.sin(x)
+        if nu > 0.5:
+            prev = amp * np.cos(x)
+    if m < nu:
+        two_over_x = 2.0 / x
+        while m < nu:
+            prev, cur = cur, m * two_over_x * cur - prev
+            m += 1.0
+    out[rec] = cur
+    return out
+
+
 def _radial_kernel(nu, lam, rho):
     """rho^(-nu) * J_nu(lam * rho) with the removable singularity at rho=0 filled in."""
     lam = np.asarray(lam, dtype=float)
     rho = np.asarray(rho, dtype=float)
     small = rho < 1e-8
     safe = np.where(small, 1.0, rho)
-    out = safe ** (-nu) * special.jv(nu, lam * safe)
+    z = lam * safe
+    out = _bessel_j(nu, z, out=z)
+    out *= safe ** (-nu)
     if np.any(small):
         # series limit of rho^(-nu) J_nu(lam rho) as rho -> 0
         limit = (lam / 2.0) ** nu / special.gamma(nu + 1.0)
@@ -131,14 +187,13 @@ def build_basis(n, s, K, quad_order=None):
     area = sphere_area(n)
     # int_{B_1} phi^2 dx = N^2 * area * int_0^1 rho J_nu(j rho)^2 drho
     #                    = N^2 * area * J_{nu+1}(j)^2 / 2
-    norm_consts = np.sqrt(2.0 / area) / np.abs(special.jv(nu + 1.0, roots))
+    norm_consts = np.sqrt(2.0 / area) / np.abs(_bessel_j(nu + 1.0, roots))
 
     nodes, w = _gauss_rule(quad_order, 0.0, 1.0)
     weights = w * area * nodes ** (n - 1)
 
-    phi_table = norm_consts[:, None] * _radial_kernel(
-        nu, roots[:, None], nodes[None, :]
-    )
+    phi_table = _radial_kernel(nu, roots[:, None], nodes[None, :])
+    phi_table *= norm_consts[:, None]
     return BallBasis(
         n=n,
         s=float(s),

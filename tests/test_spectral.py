@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from fracgelfand import checks, spectral
+from fracgelfand import checks, specfun, spectral
 
 from test_specfun import bisect_zero
 
@@ -82,12 +82,13 @@ class TestEval:
         for k in (1, 5, 16):
             assert abs(spectral.evaluate(spectral.unit(basis3, k), 1.0)) < 1e-10
 
-    def test_n3_closed_form_first_mode(self, basis3):
+    def test_n3_closed_form_every_mode(self):
+        # phi_k(rho) = sin(k pi rho) / (rho sqrt(2 pi)), largest value 8.0
+        b = spectral.build_basis(3, 0.5, 256)
         rho = np.linspace(0.05, 0.95, 40)
-        ref = np.sin(math.pi * rho) / (rho * math.sqrt(2.0 * math.pi))
-        np.testing.assert_allclose(
-            spectral.evaluate(spectral.unit(basis3, 1), rho), ref, rtol=1e-12
-        )
+        k = np.arange(1, 257)[:, None]
+        ref = np.sin(k * math.pi * rho) / (rho * math.sqrt(2.0 * math.pi))
+        np.testing.assert_allclose(b.phi_matrix(rho), ref, rtol=0, atol=1e-12)
 
     def test_zero_function(self, basis3):
         zero = spectral.RadialCoeffs(basis3, np.zeros(basis3.K))
@@ -98,6 +99,71 @@ class TestEval:
         assert spectral.evaluate(u, 0.0) == pytest.approx(
             spectral.evaluate(u, 1e-9), rel=1e-6
         )
+
+
+@pytest.fixture(scope="module")
+def table_nodes():
+    # every 16th node of the Q = 4096 rule of a K = 1024 basis, and the last
+    x, _ = spectral._gauss_rule(4096, 0.0, 1.0)
+    return np.append(x[::16], x[-1])
+
+
+class TestBesselKernel:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_jv(self, n, table_nodes):
+        nu = n / 2.0 - 1.0
+        roots = specfun.bessel_j_zeros(nu, 1024)
+        for order in (nu, nu + 1.0):
+            z = np.concatenate([
+                (roots[:, None] * table_nodes).ravel(),
+                order * (1.0 + np.array([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3])),
+                [0.0],
+            ])
+            err = np.abs(spectral._bessel_j(order, z) - special.jv(order, z))
+            assert np.max(err) <= 1e-14
+
+    def test_zero_argument_is_exact(self):
+        for order in (0.0, 0.5, 1.0, 1.5, 9.0, 10.0):
+            out = spectral._bessel_j(order, np.zeros(3))
+            np.testing.assert_array_equal(out, 1.0 if order == 0 else 0.0)
+
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_blocks_equal_rows(self, n, table_nodes):
+        nu = n / 2.0 - 1.0
+        z = specfun.bessel_j_zeros(nu, 1024)[:, None] * table_nodes
+        assert z.size > 2 * spectral._BESSEL_BLOCK
+        table = spectral._bessel_j(nu, z)
+        rows = np.stack([spectral._bessel_j(nu, row) for row in z])
+        np.testing.assert_array_equal(table, rows)
+        spectral._bessel_j(nu, z, out=z)
+        np.testing.assert_array_equal(z, table)
+
+    def test_rejects_other_orders(self):
+        for order in (-0.5, 0.3):
+            with pytest.raises(ValueError):
+                spectral._bessel_j(order, 1.0)
+
+
+class TestPhiPrime:
+    @pytest.mark.parametrize("n", [2, 3, 10, 20])
+    def test_finite_near_the_axis(self, n):
+        b = spectral.build_basis(n, 0.5, 64)
+        rho = np.array([0.0, 1e-300, 1e-40, 1e-9])
+        out = b.phi_prime_matrix(rho)
+        assert np.all(np.isfinite(out))
+        roots = np.sqrt(b.mu)[:, None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ref = -b.norm_consts[:, None] * roots * rho ** (-b.nu) * special.jv(
+                b.nu + 1.0, roots * rho
+            )
+        finite = np.isfinite(ref)
+        np.testing.assert_allclose(out[finite], ref[finite], rtol=1e-12, atol=1e-280)
+
+    def test_matches_difference_quotient(self):
+        b = spectral.build_basis(5, 0.5, 16)
+        rho, h = np.linspace(0.1, 0.9, 9), 1e-6
+        diff = (b.phi_matrix(rho + h) - b.phi_matrix(rho - h)) / (2.0 * h)
+        np.testing.assert_allclose(b.phi_prime_matrix(rho), diff, rtol=1e-7, atol=1e-6)
 
 
 class TestAnalyze:
