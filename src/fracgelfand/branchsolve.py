@@ -25,19 +25,25 @@ MONOTONE_TOL = 1e-9
 WEIGHT_CUT = 1e-13  # relative quadrature weight below which f sees u = 0
 CERTIFY_AFTER = 100  # Picard steps without a decision before the Newton certificate
 NEWTON_MAX_STEPS = 60
+FOLD_MARGIN = 1e-9  # relative; a lambda this far above a solved fold has no minimal solution
+FOLD_NU1_TOL = 1e-8  # |nu1| at which a solved fold point is accepted as the fold
 
 
 class DivergenceSignal(Exception):
     """Monotone iteration found no minimal solution at this lambda.
 
-    `exhausted` tells the two outcomes apart: False when the iterate blew up
-    at iteration `iterations`, True when the iteration ran out of its
-    `iterations` steps without a Newton certificate.
+    Three outcomes: the iterate blew up at iteration `iterations`
+    (`exhausted` False, `fold_lambda` None); the iteration ran out of its
+    `iterations` steps without a Newton certificate (`exhausted` True); or
+    lambda lies above the fold `fold_lambda` that the fold solve found from
+    the iterate after `iterations` = CERTIFY_AFTER steps (`exhausted` False).
     """
 
-    def __init__(self, lam, iterations, amplitude, exhausted):
+    def __init__(self, lam, iterations, amplitude, exhausted, fold_lambda=None):
         if exhausted:
             what = f"ran out of its {iterations} iterations without a Newton certificate"
+        elif fold_lambda is not None:
+            what = f"lies above the fold at lambda={fold_lambda} after {iterations} iterations"
         else:
             what = f"blew up at iteration {iterations}"
         super().__init__(
@@ -46,6 +52,7 @@ class DivergenceSignal(Exception):
         self.lam = lam
         self.iterations = iterations
         self.exhausted = exhausted
+        self.fold_lambda = fold_lambda
 
 
 class NewtonError(RuntimeError):
@@ -172,6 +179,18 @@ class _NonlinearTerm:
         with np.errstate(over="ignore", invalid="ignore"):
             return _gram(self.phi, self.w * self.f.deriv(u_nodes[self.j0:]))
 
+    def curvature(self, u_nodes):
+        """W_kept f''(u~_kept), f'' as a central difference of f'.
+
+        f'' enters only the fold solve's Jacobian, never a residual, so the
+        step h = 6e-6 (1 + |u|), about eps^(1/3) relative, is enough.
+        """
+        u = u_nodes[self.j0:]
+        h = 6e-6 * (1.0 + np.abs(u))
+        up, down = u + h, u - h
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.w * (self.f.deriv(up) - self.f.deriv(down)) / (up - down)
+
 
 def residual(u, lam, f):
     """Coefficient-space residual (-Delta)^s u - lambda * P[f(u)]."""
@@ -228,9 +247,13 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
 
     Near the extremal parameter the contraction ratio tends to 1, so after
     CERTIFY_AFTER steps without a decision the iterate is handed once to
-    `_newton_certificate`; if that fails, Picard goes on from the same
-    iterate.  Raises DivergenceSignal when the iterate blows up, or when the
-    iteration runs out of max_iter steps without a certificate.
+    `_newton_certificate`.  If that fails, `_fold_solve` looks for the fold
+    from the same iterate; when lambda lies more than FOLD_MARGIN (relative)
+    above it, there is no minimal solution and the iteration stops.
+    Otherwise Picard goes on from the same iterate.  Raises DivergenceSignal
+    with one of three outcomes: the iterate blew up, lambda lies above the
+    fold (`fold_lambda` set, after CERTIFY_AFTER steps), or the iteration
+    ran out of max_iter steps without a certificate (`exhausted`).
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -252,6 +275,9 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
             u = _newton_certificate(basis, term, lam, c_new, tol)
             if u is not None:
                 return u
+            fold = _fold_solve(basis, term, lam, c_new)
+            if fold is not None and lam > fold * (1.0 + FOLD_MARGIN):
+                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold)
     raise DivergenceSignal(lam, max_iter, float(np.max(np.abs(u_nodes))), exhausted=True)
 
 
@@ -290,13 +316,102 @@ def _newton_certificate(basis, term, lam, c, tol):
     return u if stability_eigenvalue(u, lam, term.f) > 0 else None
 
 
+def _fold_solve(basis, term, lam, c):
+    """lambda at the fold of the minimal branch, by Newton from the iterate (c, lam), or None.
+
+    Newton runs in (c, lambda) on {mu^s c - lambda P[f(u~)] = 0, g = 0}
+    (Griewank & Reddien, SIAM J. Numer. Anal. 21, 1984): g is the last entry
+    of the bordered solve [[J, b], [d^T, 0]] [v; g] = [0; 1], with J =
+    diag(mu^s) - lambda F diag(sigma) the certificate's Jacobian, and g = 0
+    exactly where J is singular.  The borders b = sigma^(1/2) q and d =
+    sigma^(-1/2) q come from the bottom eigenvector q of the symmetric form
+    at the iterate, so they approximate J's left and right null vectors.
+    The transposed solve [w; .] of the same LU gives g's derivatives,
+    g_lambda = w^T F sigma v and g_c = lambda sigma Phi (W f''(u~) Phi^T w
+    Phi^T sigma v), so a step costs one F, two (K+1)^2 LUs and a few
+    products.  Newton stops once the residual norm of the pair is at most
+    NEWTON_TOL, at the first step that does not reduce it (past that, steps
+    only shuffle rounding), or after NEWTON_MAX_STEPS.  The best point
+    is accepted if its coefficient residual is at most NEWTON_TOL and
+    |stability_eigenvalue| there is at most FOLD_NU1_TOL: a semistable
+    solution ends the minimal branch for convex f (Crandall & Rabinowitz,
+    ARMA 58, 1975), and later turning points have a negative bottom
+    eigenvalue.
+    """
+    K = basis.K
+    mus = basis.mu ** basis.s
+    sigma = term.sigma
+    root = np.sqrt(sigma)
+    diag = np.arange(K)
+    unit = np.zeros(K + 1)
+    unit[K] = 1.0
+    nodes = term._nonlinear_nodes(c)
+    best, best_norm = None, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = term.derivative(nodes)
+        S = root[:, None] * F
+        S *= -lam * root
+        S[diag, diag] += mus
+        try:
+            q = linalg.eigh(S, subset_by_index=(0, 0), overwrite_a=True)[1][:, 0]
+        except (ValueError, linalg.LinAlgError):
+            return None
+        del S  # overwritten by eigh
+        # one Fortran-ordered matrix, factored in place: the bordered matrix,
+        # then Newton's matrix [[J, -P], [g_c^T, g_lambda]]
+        M = np.empty((K + 1, K + 1), order="F")
+        J = M[:K, :K]
+        for _ in range(NEWTON_MAX_STEPS):
+            proj = term(nodes)
+            res = mus * c - lam * proj
+            np.multiply(F, -lam * sigma, out=J)
+            J[diag, diag] += mus
+            M[:K, K], M[K, :K], M[K, K] = root * q, q / root, 0.0
+            try:
+                lu = linalg.lu_factor(M, overwrite_a=True)
+                v, g = np.split(linalg.lu_solve(lu, unit), [K])
+                w = linalg.lu_solve(lu, unit, trans=1)[:K]
+            except (ValueError, linalg.LinAlgError):
+                break
+            res_norm = math.sqrt(float(res @ res))
+            norm = math.hypot(res_norm, float(g[0]))
+            if not norm < best_norm:
+                break
+            best, best_norm = (c, lam, res_norm), norm
+            if norm <= NEWTON_TOL:
+                break
+            sv = sigma * v
+            np.multiply(F, -lam * sigma, out=J)
+            J[diag, diag] += mus
+            M[:K, K] = -proj
+            M[K, :K] = lam * sigma * (term.phi @ (term.curvature(nodes) * (w @ term.phi)
+                                                  * (sv @ term.phi)))
+            M[K, K] = w @ (F @ sv)
+            try:
+                step = linalg.lu_solve(linalg.lu_factor(M, overwrite_a=True),
+                                       -np.concatenate([res, g]))
+            except (ValueError, linalg.LinAlgError):
+                break
+            c, lam = c + step[:K], lam + float(step[K])
+            nodes = term._nonlinear_nodes(c)
+            del F  # before the next F build, which holds a K x Q' table
+            F = term.derivative(nodes)
+    if best is None or not best[2] <= NEWTON_TOL:
+        return None
+    del M, J, F  # stability_eigenvalue builds its own K x K matrices
+    c, lam, _ = best
+    nu1 = stability_eigenvalue(spectral.RadialCoeffs(basis, c), lam, term.f)
+    return lam if abs(nu1) <= FOLD_NU1_TOL else None
+
+
 def picard_bisect(basis, f, lo, hi, width):
     """Halve [lo, hi] around the largest lambda at which monotone_iterate converges.
 
     While hi - lo > width, the midpoint replaces lo if the iteration
     converges there (by Picard or by its Newton certificate) and hi if it
-    raises DivergenceSignal: a step that blew up, or one that ran out of its
-    budget without a certificate, counts as an upper end.  Returns (lo, hi).
+    raises DivergenceSignal: a step that blew up, one that lies above the
+    fold its fold solve found, or one that ran out of its budget without a
+    certificate, counts as an upper end.  Returns (lo, hi).
     width must be positive: the midpoint of two adjacent floats rounds onto
     one of them, so a zero width would never be reached.
     """
@@ -481,7 +596,8 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3)
     (i) maximum of the continued branch, refined at the fold;
     (ii) bisection on convergence/divergence of the monotone iteration
     (picard_bisect); a step that runs out of its budget without a Newton
-    certificate counts as an upper end, like one that blows up.
+    certificate, or that lies above the fold its fold solve found from the
+    Picard iterate, counts as an upper end, like one that blows up.
     A BranchError, carrying the continued branch, is raised when the fold
     refinement fails, when the routes disagree by more than bracket_rel_tol,
     or when the monotone iteration gives no bracket around the fold.

@@ -2,7 +2,10 @@
 
 bench/spans.py wraps `branchsolve._refine_fold` and `cli._atomic_write` by
 name; a renamed or re-signed function would only show when a traced
-benchmark run crashes.  This walks a tiny traced branch instead.
+benchmark run crashes.  This walks a tiny traced branch instead.  The
+tracer also rebuilds the nonlinearity positionally as
+`Nonlinearity(kind, eval, deriv)`, so traced Picard steps must take the
+same fold path as untraced ones.
 """
 
 import importlib.util
@@ -10,6 +13,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fracgelfand import branchsolve, cli, spectral
 
@@ -47,3 +51,30 @@ def test_traced_walk_counts_fold_refinement(tmp_path):
     assert metrics["cli.bytes_written"][0] == 4
     assert _functions(spans.MODULES) == before
     assert branchsolve.exponential is exponential
+
+
+def _traced_picard(spans, basis, lam):
+    """monotone_iterate under a tracer: (its DivergenceSignal, the round's metrics)."""
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        with pytest.raises(branchsolve.DivergenceSignal) as got:
+            branchsolve.monotone_iterate(basis, lam, branchsolve.exponential())
+    finally:
+        tracer.uninstall()
+    return got.value, tracer.metrics(1)
+
+
+def test_traced_picard_takes_the_fold_path(monkeypatch):
+    # lambda* = 2 at (2, 1); Picard alone blows up at step 200 here
+    spans = _load_spans()
+    basis = spectral.build_basis(2, 1.0, 32)
+    got, metrics = _traced_picard(spans, basis, 2.000875)
+    assert got.fold_lambda is not None
+    assert got.iterations == branchsolve.CERTIFY_AFTER
+    assert metrics["branchsolve.monotone_iterate.blew_up"][0] == 1
+    monkeypatch.setattr(branchsolve, "_fold_solve", lambda *args: None)
+    fallback, fallback_metrics = _traced_picard(spans, basis, 2.000875)
+    assert fallback.fold_lambda is None and fallback.iterations == 200
+    steps = metrics["branchsolve.picard_steps"][0]
+    assert steps < 0.7 * fallback_metrics["branchsolve.picard_steps"][0]

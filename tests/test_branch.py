@@ -131,14 +131,70 @@ class TestMonotoneIteration:
             assert np.array_equal(u.c, _full_node_iterate(basis, lam, fexp))
         u = branchsolve.monotone_iterate(basis, 1.067, fexp)
         assert np.max(np.abs(u.c - _full_node_iterate(basis, 1.067, fexp))) < 1e-7
-        for lam in (1.5, 1.072):
-            with pytest.raises(branchsolve.DivergenceSignal) as got:
-                branchsolve.monotone_iterate(basis, lam, fexp)
-            with pytest.raises(branchsolve.DivergenceSignal) as want:
-                _full_node_iterate(basis, lam, fexp)
-            assert not got.value.exhausted
-            assert got.value.iterations == want.value.iterations
+        with pytest.raises(branchsolve.DivergenceSignal) as got:
+            branchsolve.monotone_iterate(basis, 1.5, fexp)
+        with pytest.raises(branchsolve.DivergenceSignal) as want:
+            _full_node_iterate(basis, 1.5, fexp)
+        assert not got.value.exhausted
+        assert got.value.iterations == want.value.iterations
+        # at 1.072 both loops find no solution: Picard by blowing up, the
+        # kept-node loop by its fold solve (test_failed_fold_solve_falls_back
+        # compares the iterations)
+        with pytest.raises(branchsolve.DivergenceSignal) as got:
+            branchsolve.monotone_iterate(basis, 1.072, fexp)
+        with pytest.raises(branchsolve.DivergenceSignal) as want:
+            _full_node_iterate(basis, 1.072, fexp)
+        assert not got.value.exhausted and not want.value.exhausted
+        assert got.value.fold_lambda is not None
+
+    def test_failed_fold_solve_falls_back_to_picard(self, fexp, monkeypatch):
+        # without a fold, Picard goes on and blows up where the full-node loop does
+        monkeypatch.setattr(branchsolve, "_fold_solve", lambda *args: None)
+        basis = spectral.build_basis(3, 0.5, 32)
+        with pytest.raises(branchsolve.DivergenceSignal) as got:
+            branchsolve.monotone_iterate(basis, 1.072, fexp)
+        with pytest.raises(branchsolve.DivergenceSignal) as want:
+            _full_node_iterate(basis, 1.072, fexp)
+        assert not got.value.exhausted and got.value.fold_lambda is None
+        assert got.value.iterations == want.value.iterations
         assert want.value.iterations > branchsolve.CERTIFY_AFTER
+
+    @pytest.mark.parametrize("x", [-1e-3, -1e-6, 1e-8, 1e-6, 1e-4, 1e-2])
+    def test_fold_decision_agrees_with_picard(self, fexp, x):
+        # lambda = lambda_F (1 + x) around the refined fold of the walked
+        # branch; Picard alone needs up to 38566 steps to decide at x = 1e-8
+        basis = spectral.build_basis(3, 0.5, 32)
+        lam_fold = _walked_fold(basis, fexp)
+        lam = lam_fold * (1.0 + x)
+        try:
+            _full_node_iterate(basis, lam, fexp, max_iter=50000)
+            want = "converged"
+        except branchsolve.DivergenceSignal as exc:
+            assert not exc.exhausted
+            want = "no solution"
+        try:
+            branchsolve.monotone_iterate(basis, lam, fexp)
+            got = "converged"
+        except branchsolve.DivergenceSignal as exc:
+            got = "no solution"
+            if exc.fold_lambda is not None:
+                assert lam > exc.fold_lambda * (1.0 + branchsolve.FOLD_MARGIN)
+                assert exc.fold_lambda == pytest.approx(lam_fold, rel=1e-10)
+        assert got == want
+
+    def test_fold_solve_decides_above_the_classical_fold(self, fexp):
+        # s = 1, n = 2: lambda* = 2; Picard alone blows up at step 200 here,
+        # after a failed certificate, and at 2.01 at step 59, before one
+        basis = spectral.build_basis(2, 1.0, 64)
+        with pytest.raises(branchsolve.DivergenceSignal, match="lies above the fold") as got:
+            branchsolve.monotone_iterate(basis, 2.000875, fexp)
+        assert not got.value.exhausted
+        assert got.value.iterations == branchsolve.CERTIFY_AFTER
+        fold = got.value.fold_lambda
+        assert fold == pytest.approx(_walked_fold(basis, fexp), rel=1e-9)
+        assert fold == pytest.approx(2.0, rel=1e-9)
+        with pytest.raises(branchsolve.DivergenceSignal, match="blew up at iteration 59"):
+            branchsolve.monotone_iterate(basis, 2.01, fexp)
 
     def test_certifies_a_step_picard_cannot_finish(self, fexp):
         # Picard alone runs out of its 4000 steps here; the certified point
@@ -166,6 +222,12 @@ class TestMonotoneIteration:
         u = branchsolve.monotone_iterate(basis, 3.0, fexp)
         res = basis.mu ** basis.s * u.c - 3.0 * _full_projection(basis, u.c, fexp)
         assert np.linalg.norm(res) <= 1e-8
+
+
+def _walked_fold(basis, f):
+    """lambda at the refined fold of the branch walked over estimate_lambda_star's grid."""
+    br = branchsolve.continue_branch(basis, np.linspace(0.0, 12.0, 49)[1:], f)
+    return br.lambda_max
 
 
 def _kept(basis):
@@ -199,11 +261,11 @@ def _complex_step_jacobian(basis, c, lam, f):
     return np.diag(basis.mu ** basis.s) - lam * dP
 
 
-def _full_node_iterate(basis, lam, f):
+def _full_node_iterate(basis, lam, f, max_iter=4000):
     """The monotone iteration over every node; returns the coefficients."""
     c = np.zeros(basis.K)
     u_nodes = _full_nodes(basis, c)
-    for m in range(1, 4001):
+    for m in range(1, max_iter + 1):
         c_new = lam * basis.mu ** (-basis.s) * _full_projection(basis, c, f)
         new_nodes = _full_nodes(basis, c_new)
         amp = float(np.max(np.abs(new_nodes)))
@@ -214,7 +276,7 @@ def _full_node_iterate(basis, lam, f):
         if diff < branchsolve.MONOTONE_TOL:
             return c
     raise branchsolve.DivergenceSignal(
-        lam, 4000, float(np.max(np.abs(u_nodes))), exhausted=True
+        lam, max_iter, float(np.max(np.abs(u_nodes))), exhausted=True
     )
 
 
