@@ -5,7 +5,10 @@ solution, diverges above the extremal parameter; where it stalls near that
 parameter a Newton certificate decides) and amplitude-parametrized
 Newton continuation, which passes the fold where lambda-continuation would
 lose the Jacobian.  The smallest eigenvalue of the linearized operator is
-tracked along the branch; it crosses zero at the fold.
+tracked along the branch; it crosses zero at the fold.  One bordered fold
+solve (`_fold_solve`) locates that fold: continuation starts it from its
+walked fold point, the monotone iteration from an iterate that no
+certificate decides.
 """
 
 from __future__ import annotations
@@ -276,8 +279,8 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
             if u is not None:
                 return u
             fold = _fold_solve(basis, term, lam, c_new)
-            if fold is not None and lam > fold * (1.0 + FOLD_MARGIN):
-                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold)
+            if fold is not None and lam > fold[1] * (1.0 + FOLD_MARGIN):
+                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold[1])
     raise DivergenceSignal(lam, max_iter, float(np.max(np.abs(u_nodes))), exhausted=True)
 
 
@@ -317,7 +320,10 @@ def _newton_certificate(basis, term, lam, c, tol):
 
 
 def _fold_solve(basis, term, lam, c):
-    """lambda at the fold of the minimal branch, by Newton from the iterate (c, lam), or None.
+    """The fold (c_F, lambda_F) of the minimal branch, by Newton from (c, lam), or None.
+
+    Two callers start it: `monotone_iterate` from a Picard iterate that the
+    certificate did not decide, and `_refine_fold` from the walked fold point.
 
     Newton runs in (c, lambda) on {mu^s c - lambda P[f(u~)] = 0, g = 0}
     (Griewank & Reddien, SIAM J. Numer. Anal. 21, 1984): g is the last entry
@@ -401,7 +407,7 @@ def _fold_solve(basis, term, lam, c):
     del M, J, F  # stability_eigenvalue builds its own K x K matrices
     c, lam, _ = best
     nu1 = stability_eigenvalue(spectral.RadialCoeffs(basis, c), lam, term.f)
-    return lam if abs(nu1) <= FOLD_NU1_TOL else None
+    return (c, lam) if abs(nu1) <= FOLD_NU1_TOL else None
 
 
 def picard_bisect(basis, f, lo, hi, width):
@@ -506,9 +512,10 @@ def continue_branch(basis, t_grid, f):
 
     Secant predictor between consecutive solves; the walk stops at the first
     NewtonError, whose message (naming its t) becomes `Branch.stop`.  The
-    fold is marked where lambda first decreases, refined to the zero of nu1
-    between the walked points around it and inserted as an extra branch
-    point; a failed refinement raises BranchError carrying the walked branch.
+    fold is marked where lambda first decreases, also at the first walked
+    point, and `_refine_fold` replaces it by the fold that the fold solve
+    finds from there, inserted as an extra branch point; a failed refinement
+    raises BranchError carrying the walked branch.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
@@ -539,7 +546,7 @@ def continue_branch(basis, t_grid, f):
         if lams[i] < lams[i - 1]:
             br.fold_index = i - 1
             break
-    if br.fold_index not in (None, 0):
+    if br.fold_index is not None:
         try:
             _refine_fold(basis, br, f)
         except NewtonError as exc:
@@ -548,52 +555,30 @@ def continue_branch(basis, t_grid, f):
 
 
 def _refine_fold(basis, br, f):
-    """The fold as the root of nu1(t) between the walked points around it.
+    """Replace the walked fold by the fold that `_fold_solve` finds from it.
 
-    At the fold the Jacobian of the residual is singular, so nu1 = 0
-    (Keller 1977).  The bracket is the pair of walked points next to the
-    detected fold between which nu1 changes sign; without one, NewtonError
-    names the three points.  Regula falsi with the Illinois halving (Dowell
-    & Jarratt, BIT 11, 1971) shrinks it, one solve per step, warm-started
-    from the point of smallest |nu1| so far.  It stops when the bracket is
-    narrower than 1e-7 max(1, b), or after 40 steps, and inserts that
-    point; the fold stays the point of largest lambda.
+    The fold solve starts at the walked point `br.fold_index` and needs no
+    bracket, so a fold at the first walked point is refined as well; when it
+    finds no fold, NewtonError names its start t.  Its point is re-solved
+    by `newton_solve` at its own amplitude, which returns at the first
+    residual check and attaches nu1, and is inserted in amplitude order;
+    the fold stays the point of largest lambda.
     """
-    i = br.fold_index
-    around = br.points[i - 1 : i + 2]
-    pairs = [(p, q) for p, q in zip(around, around[1:]) if p.nu1 > 0 >= q.nu1]
-    if not pairs:
-        raise NewtonError("nu1 does not change sign around the fold: " + ", ".join(
-            f"nu1={p.nu1:.3e} at t={p.t}" for p in around))
-    lo, hi = pairs[0]
-    a, fa, b, fb = lo.t, lo.nu1, hi.t, hi.nu1
-    best = min(lo, hi, key=lambda p: abs(p.nu1))
-    kept = None  # the bracket end the last step kept
-    for _ in range(40):
-        if b - a < 1e-7 * max(1.0, b):
-            break
-        t = b - fb * (b - a) / (fb - fa)
-        point = newton_solve(basis, t, f, guess=(best.u, best.lam))
-        if abs(point.nu1) < abs(best.nu1):
-            best = point
-        if point.nu1 > 0:
-            if kept == "b":  # kept twice in a row: halve its value (Illinois)
-                fb *= 0.5
-            a, fa, kept = t, point.nu1, "b"
-        else:
-            if kept == "a":
-                fa *= 0.5
-            b, fb, kept = t, point.nu1, "a"
-    if best is not lo and best is not hi:
-        # insert the refined fold point in amplitude order
-        br.points.insert(int(np.searchsorted([p.t for p in br.points], best.t)), best)
+    start = br.points[br.fold_index]
+    fold = _fold_solve(basis, _NonlinearTerm(basis, f), start.lam, start.u.c)
+    if fold is None:
+        raise NewtonError(f"the fold solve from t={start.t} found no fold")
+    u = spectral.RadialCoeffs(basis, fold[0])
+    point = newton_solve(basis, amplitude(u), f, guess=(u, fold[1]))
+    br.points.insert(int(np.searchsorted([p.t for p in br.points], point.t)), point)
     br.fold_index = int(np.argmax([p.lam for p in br.points]))
 
 
 def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3):
     """Two independent brackets for the extremal parameter.
 
-    (i) maximum of the continued branch, refined at the fold;
+    (i) maximum of the continued branch, with the fold solved for from the
+    walked fold point (`_refine_fold`);
     (ii) bisection on convergence/divergence of the monotone iteration
     (picard_bisect); a step that runs out of its budget without a Newton
     certificate, or that lies above the fold its fold solve found from the

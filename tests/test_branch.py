@@ -439,10 +439,24 @@ class TestFoldRefinement:
         fold = br.points[br.fold_index]
         assert type(fold.t) is float
         assert abs(fold.t - math.log(4.0)) <= 3e-7
-        assert abs(fold.nu1) <= 1e-6
+        assert abs(fold.nu1) <= branchsolve.FOLD_NU1_TOL
         assert fold.lam == pytest.approx(2.0, rel=1e-10)
-        # one solve per grid point for the walk, the rest refine the fold
-        assert len(calls) - len(t_grid) <= 20
+        # one solve per grid point for the walk, and one re-solve of the
+        # point the fold solve found
+        assert len(calls) == len(t_grid) + 1
+        assert calls[-1] == fold.t
+
+    def test_fold_at_first_walked_point(self, fexp):
+        # both walked points lie past the fold at t = ln 4: lambda decreases
+        # from the first on, and the fold solve from there still finds it
+        basis = spectral.build_basis(2, 1.0, 64)
+        br = branchsolve.continue_branch(basis, [2.0, 3.0], fexp)
+        assert br.fold_index == 0
+        assert [p.t for p in br.points[1:]] == [2.0, 3.0]
+        fold = br.points[0]
+        assert abs(fold.t - math.log(4.0)) <= 1e-9
+        assert fold.lam == pytest.approx(2.0, rel=1e-9)
+        assert abs(fold.nu1) <= branchsolve.FOLD_NU1_TOL
 
     def test_flat_fold(self, fexp):
         # at (5, 0.3) lambda(t) is so flat around the fold that its largest
@@ -455,17 +469,16 @@ class TestFoldRefinement:
         assert br.fold_index == int(np.argmax([p.lam for p in br.points]))
         assert abs(fold.nu1) <= 1e-7
 
-    def test_missing_sign_change_is_named(self, fexp, monkeypatch):
-        # nu1 > 0 everywhere: no bracket around the fold, and the walked
-        # branch comes back with the error
+    def test_failed_fold_refinement_is_named(self, fexp, monkeypatch):
+        # nu1 = 1 everywhere: the fold solve accepts no point, and the
+        # walked branch comes back with the error
         monkeypatch.setattr(branchsolve, "stability_eigenvalue", lambda u, lam, f: 1.0)
         basis = spectral.build_basis(2, 1.0, 32)
         t_grid = np.linspace(0.0, 3.0, 13)[1:]
         with pytest.raises(branchsolve.BranchError) as err:
             branchsolve.continue_branch(basis, t_grid, fexp)
         assert str(err.value) == (
-            "fold refinement failed: nu1 does not change sign around the fold: "
-            "nu1=1.000e+00 at t=1.25, nu1=1.000e+00 at t=1.5, nu1=1.000e+00 at t=1.75"
+            "fold refinement failed: the fold solve from t=1.5 found no fold"
         )
         assert [p.t for p in err.value.branch.points] == list(t_grid)
 

@@ -216,6 +216,16 @@ class TestCli:
             assert rep[key] is None
         assert rep["boundary_rate"] > 0
 
+    def test_extremal_refines_a_fold_at_the_first_walked_point(self, tmp_path):
+        # grid [1.5, 3]: lambda decreases from the first point, past the
+        # fold lambda* = 2 at t = ln 4 of (2, 1), which is still refined
+        argv = ["--n", "2", "--s", "1", "--modes", "64", "--t-max", "3", "--t-steps", "2"]
+        assert cli.main(["extremal", *argv, "--out-dir", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "extremal.json").read_text())
+        assert rep["error"] is None
+        assert rep["fold_t"] == pytest.approx(np.log(4.0), abs=1e-9)
+        assert rep["fold_lambda"] == pytest.approx(2.0, rel=1e-9)
+
     @pytest.mark.parametrize("argv", [["--s-values", "1.5"], ["--n-values", "x"]])
     def test_table_bad_grid_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
