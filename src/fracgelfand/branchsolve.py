@@ -4,7 +4,9 @@ Two routes to the branch: monotone iteration from zero (yields the minimal
 solution, diverges above the extremal parameter; where it stalls near that
 parameter a Newton certificate decides) and amplitude-parametrized
 Newton continuation, which passes the fold where lambda-continuation would
-lose the Jacobian.  The smallest eigenvalue of the linearized operator is
+lose the Jacobian; it keeps one factored Jacobian per branch point while
+each step at least halves the residual (chord steps, CHORD_RATIO) and
+refactors otherwise.  The smallest eigenvalue of the linearized operator is
 tracked along the branch; it crosses zero at the fold.  One bordered fold
 solve (`_fold_solve`) locates that fold: continuation starts it from its
 walked fold point, the monotone iteration from an iterate that no
@@ -14,6 +16,7 @@ certificate decides.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,6 +31,10 @@ MONOTONE_TOL = 1e-9
 WEIGHT_CUT = 1e-13  # relative quadrature weight below which f sees u = 0
 CERTIFY_AFTER = 100  # Picard steps without a decision before the Newton certificate
 NEWTON_MAX_STEPS = 60
+# newton_solve keeps its factored Jacobian while each step at least halves the
+# residual norm: the Newton-Shamanskii rule of C. T. Kelley, Solving Nonlinear
+# Equations with Newton's Method (SIAM 2003), section 2.3 and its nsold
+CHORD_RATIO = 0.5
 FOLD_MARGIN = 1e-9  # relative; a lambda this far above a solved fold has no minimal solution
 FOLD_NU1_TOL = 1e-8  # |nu1| at which a solved fold point is accepted as the fold
 
@@ -454,8 +461,13 @@ def _amplitude_row(basis):
 def newton_solve(basis, t, f, guess=None):
     """Solve {residual(u, lam) = 0, amplitude(u) = t} for (u, lam) by Newton.
 
-    The amplitude constraint keeps the augmented Jacobian nonsingular at the
-    fold.  Returns a BranchPoint with the stability eigenvalue attached.
+    The amplitude constraint keeps the augmented Jacobian
+    [[diag(mu^s) - lambda F, -P], [phi0^T, 0]] nonsingular at the fold.  Its
+    LU is reused while each residual norm is at most CHORD_RATIO times the
+    previous one (Newton-Shamanskii chord steps); a step that does not
+    reduce it that much refactors at the current iterate.  The budget of
+    NEWTON_MAX_STEPS residual checks counts every step, chord or not.
+    Returns a BranchPoint with the stability eigenvalue attached.
     """
     if t < 0:
         raise ValueError("amplitude t must be >= 0")
@@ -473,7 +485,12 @@ def newton_solve(basis, t, f, guess=None):
 
     term = _NonlinearTerm(basis, f)
     mus = basis.mu ** basis.s
-    for _ in range(NEWTON_MAX_STEPS):
+    K = basis.K
+    diag = np.arange(K)
+    # one Fortran-ordered matrix, factored in place at every refactorization
+    A = np.empty((K + 1, K + 1), order="F")
+    lu, last_norm = None, np.inf
+    for m in range(1, NEWTON_MAX_STEPS + 1):
         u_nodes = term._nonlinear_nodes(c)
         proj = term(u_nodes)
         res = mus * c - lam * proj
@@ -488,22 +505,27 @@ def newton_solve(basis, t, f, guess=None):
                 nu1=stability_eigenvalue(u, lam, f),
                 residual=norm,
             )
-        J = np.diag(mus) - lam * _fprime_matrix(basis, u_nodes, f)
-        A = np.zeros((basis.K + 1, basis.K + 1))
-        A[: basis.K, : basis.K] = J
-        A[: basis.K, basis.K] = -proj
-        A[basis.K, : basis.K] = phi0
-        rhs = -np.concatenate([res, [amp_res]])
-        try:
-            step = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular augmented Jacobian at t={t}") from exc
+        if m == NEWTON_MAX_STEPS:
+            break
+        if lu is None or not norm <= CHORD_RATIO * last_norm:
+            np.multiply(_fprime_matrix(basis, u_nodes, f), -lam, out=A[:K, :K])
+            A[diag, diag] += mus
+            A[:K, K], A[K, :K], A[K, K] = -proj, phi0, 0.0
+            with warnings.catch_warnings():
+                # an exactly singular matrix is caught below, by its zero pivot
+                warnings.simplefilter("ignore", linalg.LinAlgWarning)
+                lu = linalg.lu_factor(A, overwrite_a=True, check_finite=False)
+            if not lu[0].diagonal().all():
+                raise NewtonError(f"singular augmented Jacobian at t={t}")
+        last_norm = norm
+        # without finiteness checks a non-finite iterate is left to the residual check
+        step = linalg.lu_solve(lu, -np.concatenate([res, [amp_res]]), check_finite=False)
         # damped update for large amplitudes
         scale = 1.0
         if np.max(np.abs(step[:-1] @ basis.phi_table)) > 5.0:
             scale = 0.5
-        c = c + scale * step[: basis.K]
-        lam = lam + scale * step[basis.K]
+        c = c + scale * step[:K]
+        lam = lam + scale * step[K]
     raise NewtonError(f"Newton did not converge at t={t} (residual {norm:.3e})")
 
 

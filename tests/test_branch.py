@@ -7,6 +7,7 @@ s = 1, n = 2, f = exp has the known extremal parameter lambda* = 2.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,56 @@ class TestNewton:
     def test_negative_amplitude_rejected(self, basis, fexp):
         with pytest.raises(ValueError):
             branchsolve.newton_solve(basis, -0.1, fexp)
+
+    def test_failed_solve_stops_at_its_last_residual_check(self):
+        # every step evaluates f once for its residual check; the last check
+        # ends the budget without another F build
+        counts = {"eval": 0, "deriv": 0}
+
+        def counted(kind):
+            def g(u):
+                counts[kind] += 1
+                return np.exp(u)
+            return g
+
+        f = branchsolve.Nonlinearity("exp", counted("eval"), counted("deriv"))
+        counts.update(eval=0, deriv=0)
+        with pytest.raises(branchsolve.NewtonError, match=r"did not converge at t=8\.0"):
+            branchsolve.newton_solve(spectral.build_basis(3, 0.5, 64), 8.0, f)
+        assert counts["eval"] == branchsolve.NEWTON_MAX_STEPS
+        assert counts["deriv"] <= branchsolve.NEWTON_MAX_STEPS - 1
+
+    def test_walk_reuses_the_factorization(self, fexp, monkeypatch):
+        # s = 1, n = 2 (Liouville-Bratu): lambda(t) = 8 (e^(-t/2) - e^(-t));
+        # chord steps converge to the same points with far fewer F builds
+        builds = []
+        fprime = branchsolve._fprime_matrix
+
+        def counted(*args):
+            builds.append(1)
+            return fprime(*args)
+
+        monkeypatch.setattr(branchsolve, "_fprime_matrix", counted)
+        t_grid = np.linspace(0.0, 3.0, 13)[1:]
+        br = branchsolve.continue_branch(spectral.build_basis(2, 1.0, 128), t_grid, fexp)
+        assert br.stop == "grid end"
+        assert len(builds) <= 2 * len(t_grid)
+        for p in br.points:
+            assert p.lam == pytest.approx(8.0 * (math.exp(-p.t / 2) - math.exp(-p.t)),
+                                          rel=1e-9)
+
+    def test_singular_jacobian_is_named(self, monkeypatch):
+        # F = diag(mu^s) / lam makes the J block exactly zero at lam = 2
+        basis = spectral.build_basis(3, 0.5, 16)
+        lam = 2.0
+        monkeypatch.setattr(branchsolve, "_fprime_matrix",
+                            lambda basis, u_nodes, f: np.diag(basis.mu ** basis.s) / lam)
+        guess = (spectral.RadialCoeffs(basis, np.zeros(basis.K)), lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(branchsolve.NewtonError,
+                               match=r"^singular augmented Jacobian at t=1\.0$"):
+                branchsolve.newton_solve(basis, 1.0, branchsolve.exponential(), guess=guess)
 
 
 class TestStability:
