@@ -4,13 +4,13 @@ Two routes to the branch: monotone iteration from zero (yields the minimal
 solution, diverges above the extremal parameter; where it stalls near that
 parameter a Newton certificate decides) and amplitude-parametrized
 Newton continuation, which passes the fold where lambda-continuation would
-lose the Jacobian; it keeps one factored Jacobian per branch point while
-each step at least halves the residual (chord steps, CHORD_RATIO) and
-refactors otherwise.  The smallest eigenvalue of the linearized operator is
+lose the Jacobian.  The smallest eigenvalue of the linearized operator is
 tracked along the branch; it crosses zero at the fold.  One bordered fold
 solve (`_fold_solve`) locates that fold: continuation starts it from its
 walked fold point, the monotone iteration from an iterate that no
-certificate decides.
+certificate decides.  Continuation, the certificate and the fold solve are
+one Newton kernel (`_bordered_newton`) with three border equations: the
+amplitude, lambda pinned, and the fold function.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ NEWTON_TOL = 1e-10
 MONOTONE_TOL = 1e-9
 WEIGHT_CUT = 1e-13  # relative quadrature weight below which f sees u = 0
 CERTIFY_AFTER = 100  # Picard steps without a decision before the Newton certificate
-NEWTON_MAX_STEPS = 60
-# newton_solve keeps its factored Jacobian while each step at least halves the
+NEWTON_MAX_STEPS = 60  # residual checks per Newton solve
+# chord steps keep the factored Jacobian while each step at least halves the
 # residual norm: the Newton-Shamanskii rule of C. T. Kelley, Solving Nonlinear
 # Equations with Newton's Method (SIAM 2003), section 2.3 and its nsold
 CHORD_RATIO = 0.5
@@ -286,39 +286,93 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
             if u is not None:
                 return u
             fold = _fold_solve(basis, term, lam, c_new)
-            if fold is not None and lam > fold[1] * (1.0 + FOLD_MARGIN):
-                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold[1])
+            if fold is not None and lam > fold.lam * (1.0 + FOLD_MARGIN):
+                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold.lam)
     raise DivergenceSignal(lam, max_iter, float(np.max(np.abs(u_nodes))), exhausted=True)
+
+
+def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
+    """Newton in (c, lambda) on {mu^s c - lambda P[f(u~)] = 0, r = 0}.
+
+    A check takes the residual res, the border equation (r, row, corner) =
+    border(c, lam, nodes, assemble) and the norm sqrt(|res|^2 + r^2).  A
+    step solves with [[J, -P[f(u~)]], [row, corner]], J = diag(mu^s) -
+    lambda G and G = block(nodes), factored in place in one Fortran-ordered
+    (K+1)^2 buffer; `assemble()` writes J there and returns (buffer, G), for
+    a border that solves with J itself.  With `chord` the LU is kept while
+    each norm is at most CHORD_RATIO times the previous one; without, every
+    step refactors, and the first check after the first whose norm is not
+    below the least so far stalls the solve.  Returns (outcome, best, norm):
+    "converged" (norm <= tol), "stalled", "non-finite" (the norm),
+    "singular" (a zero pivot) or "budget" (NEWTON_MAX_STEPS checks); best is
+    (c, lam, res) of the least norm (None before a finite one), norm the last.
+    """
+    K = basis.K
+    mus = basis.mu ** basis.s
+    diag = np.arange(K)
+    M = np.empty((K + 1, K + 1), order="F")
+    lu, G, best, best_norm, last_norm = None, None, None, np.inf, np.inf
+
+    def assemble():
+        nonlocal G
+        if G is None:
+            G = block(nodes)
+        np.multiply(G, -lam, out=M[:K, :K])
+        M[diag, diag] += mus
+        return M, G
+
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        # a singular matrix shows as a zero pivot, in a border's own solve as a non-finite r
+        warnings.simplefilter("ignore", linalg.LinAlgWarning)
+        for m in range(1, NEWTON_MAX_STEPS + 1):
+            nodes = term._nonlinear_nodes(c)
+            proj = term(nodes)
+            res = mus * c - lam * proj
+            r, row, corner = border(c, lam, nodes, assemble)
+            norm = math.sqrt(float(res @ res) + r * r)
+            if not math.isfinite(norm):
+                return "non-finite", best, norm
+            if norm < best_norm:
+                best, best_norm = (c, lam, res), norm
+            elif not chord:
+                return "stalled", best, norm
+            if norm <= tol:
+                return "converged", best, norm
+            if m == NEWTON_MAX_STEPS:
+                return "budget", best, norm
+            if not chord or lu is None or not norm <= CHORD_RATIO * last_norm:
+                assemble()
+                M[:K, K], M[K, :K], M[K, K] = -proj, row, corner
+                lu = linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+                if not lu[0].diagonal().all():
+                    return "singular", best, norm
+            last_norm = norm
+            # without finiteness checks a non-finite iterate is left to the next check
+            step = linalg.lu_solve(lu, -np.concatenate([res, [r]]), check_finite=False)
+            c, lam, G = c + step[:K], lam + float(step[K]), None
 
 
 def _newton_certificate(basis, term, lam, c, tol):
     """The minimal solution by fixed-lambda Newton from the Picard iterate c, or None.
 
-    Newton solves diag(mu^s) c = lambda P[f(u~)] with its exact Jacobian
-    diag(mu^s) - lambda F diag(sigma), and stops at the first step that does
-    not reduce the change of the nodes.  Its point is accepted only if one
-    Picard step from it moves the nodes by less than tol, the monotone
-    iteration's own test, and the solution is stable (nu1 > 0): for convex
-    f the stable solution is the minimal one (Crandall & Rabinowitz, ARMA
-    58, 1975).  The coefficient residual is no test here: at n = 20,
-    Picard iterates still 2.7e-3 apart at the nodes have residual 5e-9.
+    The kernel takes full steps with lambda pinned and tolerance 0, so it
+    goes on to rounding.  Its best point is accepted only if one Picard step
+    from it moves the nodes by less than tol, the monotone iteration's own
+    test, and nu1 > 0 there: for convex f the stable solution is the minimal
+    one (Crandall & Rabinowitz, ARMA 58, 1975).  The coefficient residual is
+    no test: at n = 20, Picard iterates 2.7e-3 apart at the nodes have
+    residual 5e-9.
     """
-    mus = basis.mu ** basis.s
-    nodes = term._nonlinear_nodes(c)
-    change = np.inf
+    pin = np.zeros(basis.K)
+    _, best, _ = _bordered_newton(basis, term, c, lam,
+                                  lambda nodes: term.derivative(nodes) * term.sigma,
+                                  lambda *_: (0.0, pin, 1.0), 0.0, chord=False)
+    if best is None:
+        return None
+    c = best[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(NEWTON_MAX_STEPS):
-            J = np.diag(mus) - lam * term.derivative(nodes) * term.sigma
-            try:
-                c_next = c + np.linalg.solve(J, lam * term(nodes) - mus * c)
-            except np.linalg.LinAlgError:
-                break
-            nodes_next = term._nonlinear_nodes(c_next)
-            step = float(np.max(np.abs(nodes_next - nodes)))
-            if not step < change:
-                break
-            c, nodes, change = c_next, nodes_next, step
-        c_new = lam / mus * term(nodes)
+        nodes = term._nonlinear_nodes(c)
+        c_new = lam / basis.mu ** basis.s * term(nodes)
         new_nodes = term._nonlinear_nodes(c_new)
     if not float(np.max(np.abs(new_nodes - nodes))) < tol:
         return None
@@ -327,94 +381,62 @@ def _newton_certificate(basis, term, lam, c, tol):
 
 
 def _fold_solve(basis, term, lam, c):
-    """The fold (c_F, lambda_F) of the minimal branch, by Newton from (c, lam), or None.
+    """The fold of the minimal branch, by Newton from (c, lam), as a BranchPoint or None.
 
     Two callers start it: `monotone_iterate` from a Picard iterate that the
     certificate did not decide, and `_refine_fold` from the walked fold point.
-
-    Newton runs in (c, lambda) on {mu^s c - lambda P[f(u~)] = 0, g = 0}
-    (Griewank & Reddien, SIAM J. Numer. Anal. 21, 1984): g is the last entry
-    of the bordered solve [[J, b], [d^T, 0]] [v; g] = [0; 1], with J =
-    diag(mu^s) - lambda F diag(sigma) the certificate's Jacobian, and g = 0
-    exactly where J is singular.  The borders b = sigma^(1/2) q and d =
-    sigma^(-1/2) q come from the bottom eigenvector q of the symmetric form
-    at the iterate, so they approximate J's left and right null vectors.
-    The transposed solve [w; .] of the same LU gives g's derivatives,
-    g_lambda = w^T F sigma v and g_c = lambda sigma Phi (W f''(u~) Phi^T w
-    Phi^T sigma v), so a step costs one F, two (K+1)^2 LUs and a few
-    products.  Newton stops once the residual norm of the pair is at most
-    NEWTON_TOL, at the first step that does not reduce it (past that, steps
-    only shuffle rounding), or after NEWTON_MAX_STEPS.  The best point
-    is accepted if its coefficient residual is at most NEWTON_TOL and
-    |stability_eigenvalue| there is at most FOLD_NU1_TOL: a semistable
-    solution ends the minimal branch for convex f (Crandall & Rabinowitz,
-    ARMA 58, 1975), and later turning points have a negative bottom
-    eigenvalue.
+    The kernel takes full steps with the border equation g = 0 (Griewank &
+    Reddien, SIAM J. Numer. Anal. 21, 1984): g is the last entry of the
+    bordered solve [[J, b], [d^T, 0]] [v; g] = [0; 1], zero exactly where J
+    is singular.  b = sigma^(1/2) q and d = sigma^(-1/2) q, q the bottom
+    eigenvector of the symmetric form at the start, approximate J's null
+    vectors.  The transposed solve [w; .] of the same LU gives g_lambda =
+    w^T F sigma v and g_c = lambda sigma Phi (W f''(u~) Phi^T w Phi^T sigma
+    v), so a step costs one F, two (K+1)^2 LUs and a few products.  The best
+    point is accepted, with its nu1 and coefficient residual, if that
+    residual is at most NEWTON_TOL and |nu1| at most FOLD_NU1_TOL: a
+    semistable solution ends the minimal branch for convex f (Crandall &
+    Rabinowitz, ARMA 58, 1975), and later turning points have nu1 < 0.
     """
     K = basis.K
-    mus = basis.mu ** basis.s
     sigma = term.sigma
     root = np.sqrt(sigma)
-    diag = np.arange(K)
     unit = np.zeros(K + 1)
     unit[K] = 1.0
-    nodes = term._nonlinear_nodes(c)
-    best, best_norm = None, np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = term.derivative(nodes)
-        S = root[:, None] * F
-        S *= -lam * root
-        S[diag, diag] += mus
-        try:
-            q = linalg.eigh(S, subset_by_index=(0, 0), overwrite_a=True)[1][:, 0]
-        except (ValueError, linalg.LinAlgError):
-            return None
-        del S  # overwritten by eigh
-        # one Fortran-ordered matrix, factored in place: the bordered matrix,
-        # then Newton's matrix [[J, -P], [g_c^T, g_lambda]]
-        M = np.empty((K + 1, K + 1), order="F")
-        J = M[:K, :K]
-        for _ in range(NEWTON_MAX_STEPS):
-            proj = term(nodes)
-            res = mus * c - lam * proj
-            np.multiply(F, -lam * sigma, out=J)
-            J[diag, diag] += mus
-            M[:K, K], M[K, :K], M[K, K] = root * q, q / root, 0.0
+    q = None
+
+    def fold_function(c, lam, nodes, assemble):
+        nonlocal q
+        M, G = assemble()
+        if q is None:  # at the start, from the symmetric form sigma^(1/2) J sigma^(-1/2)
+            S = root[:, None] * M[:K, :K]
+            S /= root
             try:
-                lu = linalg.lu_factor(M, overwrite_a=True)
-                v, g = np.split(linalg.lu_solve(lu, unit), [K])
-                w = linalg.lu_solve(lu, unit, trans=1)[:K]
+                q = linalg.eigh(S, subset_by_index=(0, 0), overwrite_a=True)[1][:, 0]
             except (ValueError, linalg.LinAlgError):
-                break
-            res_norm = math.sqrt(float(res @ res))
-            norm = math.hypot(res_norm, float(g[0]))
-            if not norm < best_norm:
-                break
-            best, best_norm = (c, lam, res_norm), norm
-            if norm <= NEWTON_TOL:
-                break
-            sv = sigma * v
-            np.multiply(F, -lam * sigma, out=J)
-            J[diag, diag] += mus
-            M[:K, K] = -proj
-            M[K, :K] = lam * sigma * (term.phi @ (term.curvature(nodes) * (w @ term.phi)
-                                                  * (sv @ term.phi)))
-            M[K, K] = w @ (F @ sv)
-            try:
-                step = linalg.lu_solve(linalg.lu_factor(M, overwrite_a=True),
-                                       -np.concatenate([res, g]))
-            except (ValueError, linalg.LinAlgError):
-                break
-            c, lam = c + step[:K], lam + float(step[K])
-            nodes = term._nonlinear_nodes(c)
-            del F  # before the next F build, which holds a K x Q' table
-            F = term.derivative(nodes)
-    if best is None or not best[2] <= NEWTON_TOL:
+                return np.nan, None, None
+        M[:K, K], M[K, :K], M[K, K] = root * q, q / root, 0.0
+        lu = linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+        v, g = np.split(linalg.lu_solve(lu, unit, check_finite=False), [K])
+        w = linalg.lu_solve(lu, unit, trans=1, check_finite=False)[:K]
+        g_c = lam * sigma * (term.phi @ (term.curvature(nodes) * (w @ term.phi)
+                                         * ((sigma * v) @ term.phi)))
+        return float(g[0]), g_c, w @ (G @ v)
+
+    _, best, _ = _bordered_newton(basis, term, c, lam,
+                                  lambda nodes: term.derivative(nodes) * term.sigma,
+                                  fold_function, NEWTON_TOL, chord=False)
+    if best is None:
         return None
-    del M, J, F  # stability_eigenvalue builds its own K x K matrices
-    c, lam, _ = best
-    nu1 = stability_eigenvalue(spectral.RadialCoeffs(basis, c), lam, term.f)
-    return (c, lam) if abs(nu1) <= FOLD_NU1_TOL else None
+    c, lam, res = best
+    residual_norm = math.sqrt(float(res @ res))
+    if not residual_norm <= NEWTON_TOL:
+        return None
+    u = spectral.RadialCoeffs(basis, c)
+    nu1 = stability_eigenvalue(u, lam, term.f)
+    if not abs(nu1) <= FOLD_NU1_TOL:
+        return None
+    return BranchPoint(t=amplitude(u), lam=lam, u=u, nu1=nu1, residual=residual_norm)
 
 
 def picard_bisect(basis, f, lo, hi, width):
@@ -461,13 +483,12 @@ def _amplitude_row(basis):
 def newton_solve(basis, t, f, guess=None):
     """Solve {residual(u, lam) = 0, amplitude(u) = t} for (u, lam) by Newton.
 
-    The amplitude constraint keeps the augmented Jacobian
-    [[diag(mu^s) - lambda F, -P], [phi0^T, 0]] nonsingular at the fold.  Its
-    LU is reused while each residual norm is at most CHORD_RATIO times the
-    previous one (Newton-Shamanskii chord steps); a step that does not
-    reduce it that much refactors at the current iterate.  The budget of
-    NEWTON_MAX_STEPS residual checks counts every step, chord or not.
-    Returns a BranchPoint with the stability eigenvalue attached.
+    The kernel's border is the amplitude constraint phi0^T c = t, which
+    keeps [[diag(mu^s) - lambda F, -P], [phi0^T, 0]] nonsingular at the
+    fold, and it takes chord steps down to NEWTON_TOL.  Running out of
+    NEWTON_MAX_STEPS checks, or a non-finite residual, raises NewtonError
+    with the last residual norm.  Returns a BranchPoint with the stability
+    eigenvalue attached.
     """
     if t < 0:
         raise ValueError("amplitude t must be >= 0")
@@ -483,50 +504,19 @@ def newton_solve(basis, t, f, guess=None):
     else:
         c, lam = np.array(guess[0].c), float(guess[1])
 
-    term = _NonlinearTerm(basis, f)
-    mus = basis.mu ** basis.s
-    K = basis.K
-    diag = np.arange(K)
-    # one Fortran-ordered matrix, factored in place at every refactorization
-    A = np.empty((K + 1, K + 1), order="F")
-    lu, last_norm = None, np.inf
-    for m in range(1, NEWTON_MAX_STEPS + 1):
-        u_nodes = term._nonlinear_nodes(c)
-        proj = term(u_nodes)
-        res = mus * c - lam * proj
-        amp_res = float(phi0 @ c) - t
-        norm = math.sqrt(float(res @ res) + amp_res ** 2)
-        if norm <= NEWTON_TOL:
-            u = spectral.RadialCoeffs(basis, c)
-            return BranchPoint(
-                t=t,
-                lam=lam,
-                u=u,
-                nu1=stability_eigenvalue(u, lam, f),
-                residual=norm,
-            )
-        if m == NEWTON_MAX_STEPS:
-            break
-        if lu is None or not norm <= CHORD_RATIO * last_norm:
-            np.multiply(_fprime_matrix(basis, u_nodes, f), -lam, out=A[:K, :K])
-            A[diag, diag] += mus
-            A[:K, K], A[K, :K], A[K, K] = -proj, phi0, 0.0
-            with warnings.catch_warnings():
-                # an exactly singular matrix is caught below, by its zero pivot
-                warnings.simplefilter("ignore", linalg.LinAlgWarning)
-                lu = linalg.lu_factor(A, overwrite_a=True, check_finite=False)
-            if not lu[0].diagonal().all():
-                raise NewtonError(f"singular augmented Jacobian at t={t}")
-        last_norm = norm
-        # without finiteness checks a non-finite iterate is left to the residual check
-        step = linalg.lu_solve(lu, -np.concatenate([res, [amp_res]]), check_finite=False)
-        # damped update for large amplitudes
-        scale = 1.0
-        if np.max(np.abs(step[:-1] @ basis.phi_table)) > 5.0:
-            scale = 0.5
-        c = c + scale * step[:K]
-        lam = lam + scale * step[K]
-    raise NewtonError(f"Newton did not converge at t={t} (residual {norm:.3e})")
+    outcome, best, norm = _bordered_newton(
+        basis, _NonlinearTerm(basis, f), c, lam,
+        lambda nodes: _fprime_matrix(basis, nodes, f),
+        lambda c, lam, nodes, assemble: (float(phi0 @ c) - t, phi0, 0.0),
+        NEWTON_TOL, chord=True,
+    )
+    if outcome == "singular":
+        raise NewtonError(f"singular augmented Jacobian at t={t}")
+    if outcome != "converged":
+        raise NewtonError(f"Newton did not converge at t={t} (residual {norm:.3e})")
+    c, lam, _ = best
+    u = spectral.RadialCoeffs(basis, c)
+    return BranchPoint(t=t, lam=lam, u=u, nu1=stability_eigenvalue(u, lam, f), residual=norm)
 
 
 def continue_branch(basis, t_grid, f):
@@ -581,17 +571,14 @@ def _refine_fold(basis, br, f):
 
     The fold solve starts at the walked point `br.fold_index` and needs no
     bracket, so a fold at the first walked point is refined as well; when it
-    finds no fold, NewtonError names its start t.  Its point is re-solved
-    by `newton_solve` at its own amplitude, which returns at the first
-    residual check and attaches nu1, and is inserted in amplitude order;
-    the fold stays the point of largest lambda.
+    finds no fold, NewtonError names its start t.  Its point, with its own
+    amplitude, nu1 and residual, is inserted in amplitude order; the fold
+    stays the point of largest lambda.
     """
     start = br.points[br.fold_index]
-    fold = _fold_solve(basis, _NonlinearTerm(basis, f), start.lam, start.u.c)
-    if fold is None:
+    point = _fold_solve(basis, _NonlinearTerm(basis, f), start.lam, start.u.c)
+    if point is None:
         raise NewtonError(f"the fold solve from t={start.t} found no fold")
-    u = spectral.RadialCoeffs(basis, fold[0])
-    point = newton_solve(basis, amplitude(u), f, guess=(u, fold[1]))
     br.points.insert(int(np.searchsorted([p.t for p in br.points], point.t)), point)
     br.fold_index = int(np.argmax([p.lam for p in br.points]))
 

@@ -47,8 +47,10 @@ def test_traced_walk_counts_fold_refinement(tmp_path):
         tracer.uninstall()
     assert br.fold_index is not None
     metrics = tracer.metrics(1)
-    # the walk's one fold: one re-solve of the point the fold solve found
-    assert metrics["branchsolve.fold_refine_solves"][0] == 1
+    # the walk's one fold is refined once, and its point inserted without a
+    # newton_solve
+    assert [sp.name for sp in tracer.spans].count("branchsolve._refine_fold") == 1
+    assert metrics["branchsolve.fold_refine_solves"][0] == 0
     assert metrics["cli.bytes_written"][0] == 4
     assert _functions(spans.MODULES) == before
     assert branchsolve.exponential is exponential

@@ -198,15 +198,16 @@ class TestMonotoneIteration:
             branchsolve.monotone_iterate(basis, 2.01, fexp)
 
     def test_certifies_a_step_picard_cannot_finish(self, fexp):
-        # Picard alone runs out of its 4000 steps here; the certified point
-        # passes Picard's node test and is stable
+        # Picard alone runs out of its 4000 steps at both; the certified point
+        # passes Picard's node test and is stable.  The second is the last
+        # step of criterion 8's K = 512 bisection, 3.3e-12 above the fold
         basis = spectral.build_basis(20, 0.5, 512)
-        lam = 3.2777160763740545
-        u = branchsolve.monotone_iterate(basis, lam, fexp)
-        step = lam * basis.mu ** (-basis.s) * _full_projection(basis, u.c, fexp)
-        moved = _full_nodes(basis, step) - _full_nodes(basis, u.c)
-        assert np.max(np.abs(moved)) < branchsolve.MONOTONE_TOL
-        assert branchsolve.stability_eigenvalue(u, lam, fexp) > 0.0
+        for lam in (3.2777160763740545, 3.277716310281995):
+            u = branchsolve.monotone_iterate(basis, lam, fexp)
+            step = lam * basis.mu ** (-basis.s) * _full_projection(basis, u.c, fexp)
+            moved = _full_nodes(basis, step) - _full_nodes(basis, u.c)
+            assert np.max(np.abs(moved)) < branchsolve.MONOTONE_TOL
+            assert branchsolve.stability_eigenvalue(u, lam, fexp) > 0.0
 
     def test_exhausted_budget_is_named(self, fexp):
         basis = spectral.build_basis(3, 0.5, 32)
@@ -263,12 +264,16 @@ def _complex_step_jacobian(basis, c, lam, f):
 
 
 def _full_node_iterate(basis, lam, f, max_iter=4000):
-    """The monotone iteration over every node; returns the coefficients."""
+    """The monotone iteration over every node; returns the coefficients.
+
+    Its iterate overflows where Picard blows up; that shows in the amplitude.
+    """
     c = np.zeros(basis.K)
     u_nodes = _full_nodes(basis, c)
     for m in range(1, max_iter + 1):
-        c_new = lam * basis.mu ** (-basis.s) * _full_projection(basis, c, f)
-        new_nodes = _full_nodes(basis, c_new)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_new = lam * basis.mu ** (-basis.s) * _full_projection(basis, c, f)
+            new_nodes = _full_nodes(basis, c_new)
         amp = float(np.max(np.abs(new_nodes)))
         if not amp <= branchsolve.BLOWUP_THRESHOLD:
             raise branchsolve.DivergenceSignal(lam, m, amp, exhausted=False)
@@ -350,23 +355,28 @@ class TestNewton:
         with pytest.raises(ValueError):
             branchsolve.newton_solve(basis, -0.1, fexp)
 
-    def test_failed_solve_stops_at_its_last_residual_check(self):
-        # every step evaluates f once for its residual check; the last check
-        # ends the budget without another F build
-        counts = {"eval": 0, "deriv": 0}
+    def test_failed_solve_stops_at_its_last_residual_check(self, monkeypatch):
+        # from a cold start the residual norm overflows after a few dozen
+        # checks; every check before it takes one step, and that first
+        # non-finite check ends the solve without another F build
+        counts = {"eval": 0, "deriv": 0, "step": 0}
 
-        def counted(kind):
-            def g(u):
+        def counted(kind, g):
+            def h(*args, **kwargs):
                 counts[kind] += 1
-                return np.exp(u)
-            return g
+                return g(*args, **kwargs)
+            return h
 
-        f = branchsolve.Nonlinearity("exp", counted("eval"), counted("deriv"))
-        counts.update(eval=0, deriv=0)
-        with pytest.raises(branchsolve.NewtonError, match=r"did not converge at t=8\.0"):
+        f = branchsolve.Nonlinearity("exp", counted("eval", np.exp), counted("deriv", np.exp))
+        monkeypatch.setattr(branchsolve.linalg, "lu_solve",
+                            counted("step", branchsolve.linalg.lu_solve))
+        counts.update(eval=0, deriv=0, step=0)
+        with pytest.raises(branchsolve.NewtonError,
+                           match=r"did not converge at t=8\.0 \(residual (inf|nan)\)"):
             branchsolve.newton_solve(spectral.build_basis(3, 0.5, 64), 8.0, f)
-        assert counts["eval"] == branchsolve.NEWTON_MAX_STEPS
-        assert counts["deriv"] <= branchsolve.NEWTON_MAX_STEPS - 1
+        assert counts["eval"] < branchsolve.NEWTON_MAX_STEPS
+        assert counts["step"] == counts["eval"] - 1
+        assert counts["deriv"] < counts["eval"]
 
     def test_walk_reuses_the_factorization(self, fexp, monkeypatch):
         # s = 1, n = 2 (Liouville-Bratu): lambda(t) = 8 (e^(-t/2) - e^(-t));
@@ -492,10 +502,11 @@ class TestFoldRefinement:
         assert abs(fold.t - math.log(4.0)) <= 3e-7
         assert abs(fold.nu1) <= branchsolve.FOLD_NU1_TOL
         assert fold.lam == pytest.approx(2.0, rel=1e-10)
-        # one solve per grid point for the walk, and one re-solve of the
-        # point the fold solve found
-        assert len(calls) == len(t_grid) + 1
-        assert calls[-1] == fold.t
+        # one solve per grid point for the walk; the fold solve's point is
+        # inserted as it is, with its own nu1 and residual
+        assert len(calls) == len(t_grid)
+        assert fold.t not in calls
+        assert fold.residual <= branchsolve.NEWTON_TOL
 
     def test_fold_at_first_walked_point(self, fexp):
         # both walked points lie past the fold at t = ln 4: lambda decreases
