@@ -10,7 +10,9 @@ solve (`_fold_solve`) locates that fold: continuation starts it from its
 walked fold point, the monotone iteration from an iterate that no
 certificate decides.  Continuation, the certificate and the fold solve are
 one Newton kernel (`_bordered_newton`) with three border equations: the
-amplitude, lambda pinned, and the fold function.
+amplitude, lambda pinned, and the fold function.  All three build their J
+block from the nonlinear term's F; only continuation leaves out the sigma
+factor of the exact Jacobian F diag(sigma) (`_NonlinearTerm.jacobian`).
 """
 
 from __future__ import annotations
@@ -168,6 +170,7 @@ class _NonlinearTerm:
         self.phi = basis.phi_table[:, self.j0:]
         self.w = w[self.j0:]
         self.sigma = spectral._filter_factors(basis.K)
+        self.mu_inv_s = basis.mu ** (-basis.s)
         self.cut_share = basis.phi_table[:, : self.j0] @ (w[: self.j0] * f.f0)
 
     def _nonlinear_nodes(self, c):
@@ -180,14 +183,20 @@ class _NonlinearTerm:
             fu = self.f.eval(u_nodes[self.j0:])
             return self.phi @ (self.w * fu) + self.cut_share
 
-    def derivative(self, u_nodes):
-        """F = Phi_kept W_kept f'(u~_kept) Phi_kept^T at the node values u_nodes.
+    def picard(self, lam, u_nodes):
+        """One monotone step: c = lambda mu^(-s) P[f(u~)] and its node values."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = lam * self.mu_inv_s * self(u_nodes)
+            return c, self._nonlinear_nodes(c)
 
-        The Jacobian of P[f(u~)] with respect to c is F diag(sigma): the cut
-        nodes hold u~ = 0 whatever c is, and u~ is the filtered synthesis.
-        """
+    def derivative(self, u_nodes):
+        """F = Phi_kept W_kept f'(u~_kept) Phi_kept^T at the node values u_nodes."""
         with np.errstate(over="ignore", invalid="ignore"):
             return _gram(self.phi, self.w * self.f.deriv(u_nodes[self.j0:]))
+
+    def jacobian(self, u_nodes):
+        """F diag(sigma), the Jacobian of P[f(u~)] in c (u~ filtered, 0 on the cut)."""
+        return self.derivative(u_nodes) * self.sigma
 
     def curvature(self, u_nodes):
         """W_kept f''(u~_kept), f'' as a central difference of f'.
@@ -225,11 +234,6 @@ def _gram(phi, g):
     return b_pos @ b_pos.T - b_neg @ b_neg.T
 
 
-def _fprime_matrix(basis, u_nodes, f):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gram(basis.phi_table, basis.quad_weights * f.deriv(u_nodes))
-
-
 def stability_eigenvalue(u, lam, f):
     """Smallest eigenvalue of diag(mu^s) - lambda sigma^(1/2) F sigma^(1/2).
 
@@ -251,9 +255,9 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
 
     u^{m+1} = lambda * (-Delta)^{-s} P[f(u^m)]; the iterates increase
     pointwise and converge exactly when lambda is below the extremal
-    parameter.  One f evaluation per step, on the kept nodes (see
-    _NonlinearTerm).  The step converges when it moves the nodes by less
-    than tol.
+    parameter.  One f evaluation per step, on the kept nodes
+    (`_NonlinearTerm.picard`).  The step converges when it moves the nodes
+    by less than tol.
 
     Near the extremal parameter the contraction ratio tends to 1, so after
     CERTIFY_AFTER steps without a decision the iterate is handed once to
@@ -268,12 +272,9 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     term = _NonlinearTerm(basis, f)
-    scale = lam * basis.mu ** (-basis.s)
     u_nodes = np.zeros_like(basis.quad_nodes)
     for m in range(1, max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            c_new = scale * term(u_nodes)
-            new_nodes = term._nonlinear_nodes(c_new)
+        c_new, new_nodes = term.picard(lam, u_nodes)
         amp = float(np.max(np.abs(new_nodes)))
         if not np.isfinite(amp) or amp > BLOWUP_THRESHOLD:
             raise DivergenceSignal(lam, m, amp, exhausted=False)
@@ -297,12 +298,14 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
     A check takes the residual res, the border equation (r, row, corner) =
     border(c, lam, nodes, assemble) and the norm sqrt(|res|^2 + r^2).  A
     step solves with [[J, -P[f(u~)]], [row, corner]], J = diag(mu^s) -
-    lambda G and G = block(nodes), factored in place in one Fortran-ordered
-    (K+1)^2 buffer; `assemble()` writes J there and returns (buffer, G), for
-    a border that solves with J itself.  With `chord` the LU is kept while
-    each norm is at most CHORD_RATIO times the previous one; without, every
-    step refactors, and the first check after the first whose norm is not
-    below the least so far stalls the solve.  Returns (outcome, best, norm):
+    lambda G, factored in place in one Fortran-ordered (K+1)^2 buffer.
+    G = block(nodes) is the term's F diag(sigma), or in continuation F
+    alone, which differs from it only by the sigma factor.  `assemble()`
+    writes J there and returns (buffer, G), for a border that solves with J
+    itself.  With `chord` the LU is kept while each norm is at most
+    CHORD_RATIO times the previous one; without, every step refactors, and
+    the first check after the first whose norm is not below the least so far
+    stalls the solve.  Returns (outcome, best, norm):
     "converged" (norm <= tol), "stalled", "non-finite" (the norm),
     "singular" (a zero pivot) or "budget" (NEWTON_MAX_STEPS checks); best is
     (c, lam, res) of the least norm (None before a finite one), norm the last.
@@ -364,16 +367,12 @@ def _newton_certificate(basis, term, lam, c, tol):
     residual 5e-9.
     """
     pin = np.zeros(basis.K)
-    _, best, _ = _bordered_newton(basis, term, c, lam,
-                                  lambda nodes: term.derivative(nodes) * term.sigma,
+    _, best, _ = _bordered_newton(basis, term, c, lam, term.jacobian,
                                   lambda *_: (0.0, pin, 1.0), 0.0, chord=False)
     if best is None:
         return None
-    c = best[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes = term._nonlinear_nodes(c)
-        c_new = lam / basis.mu ** basis.s * term(nodes)
-        new_nodes = term._nonlinear_nodes(c_new)
+    nodes = term._nonlinear_nodes(best[0])
+    c_new, new_nodes = term.picard(lam, nodes)
     if not float(np.max(np.abs(new_nodes - nodes))) < tol:
         return None
     u = spectral.RadialCoeffs(basis, c_new)
@@ -423,8 +422,7 @@ def _fold_solve(basis, term, lam, c):
                                          * ((sigma * v) @ term.phi)))
         return float(g[0]), g_c, w @ (G @ v)
 
-    _, best, _ = _bordered_newton(basis, term, c, lam,
-                                  lambda nodes: term.derivative(nodes) * term.sigma,
+    _, best, _ = _bordered_newton(basis, term, c, lam, term.jacobian,
                                   fold_function, NEWTON_TOL, chord=False)
     if best is None:
         return None
@@ -485,10 +483,12 @@ def newton_solve(basis, t, f, guess=None):
 
     The kernel's border is the amplitude constraint phi0^T c = t, which
     keeps [[diag(mu^s) - lambda F, -P], [phi0^T, 0]] nonsingular at the
-    fold, and it takes chord steps down to NEWTON_TOL.  Running out of
-    NEWTON_MAX_STEPS checks, or a non-finite residual, raises NewtonError
-    with the last residual norm.  Returns a BranchPoint with the stability
-    eigenvalue attached.
+    fold, and it takes chord steps down to NEWTON_TOL.  F is the nonlinear
+    term's (`_NonlinearTerm.derivative`); the residual's Jacobian block is
+    F diag(sigma), so the sigma factor is the one part of it left out.
+    Running out of NEWTON_MAX_STEPS checks, or a non-finite residual, raises
+    NewtonError with the last residual norm.  Returns a BranchPoint with the
+    stability eigenvalue attached.
     """
     if t < 0:
         raise ValueError("amplitude t must be >= 0")
@@ -504,9 +504,9 @@ def newton_solve(basis, t, f, guess=None):
     else:
         c, lam = np.array(guess[0].c), float(guess[1])
 
+    term = _NonlinearTerm(basis, f)
     outcome, best, norm = _bordered_newton(
-        basis, _NonlinearTerm(basis, f), c, lam,
-        lambda nodes: _fprime_matrix(basis, nodes, f),
+        basis, term, c, lam, term.derivative,
         lambda c, lam, nodes, assemble: (float(phi0 @ c) - t, phi0, 0.0),
         NEWTON_TOL, chord=True,
     )

@@ -52,23 +52,23 @@ def _build(cfg):
     return basis, cfg.nonlinearity()
 
 
-def run_branch(cfg):
-    """Continue the branch and persist branch.csv + summary.json."""
-    basis, f = _build(cfg)
-    summary = {
+def _skeleton(cfg, *keys):
+    """The keys summary.json and extremal.json share, then `keys`; the run fills the Nones."""
+    return {
         "n": cfg.n,
         "s": cfg.s,
         "f_spec": cfg.f_spec,
         "modes": cfg.modes,
         "critical_dim": regularity.critical_dimension(cfg.s),
         "decay_bound": regularity.decay_exponent_bound(cfg.n, cfg.s),
-        "lambda_star_lo": None,
-        "lambda_star_hi": None,
-        "fold_t": None,
-        "extremal_u0": None,
-        "branch_stop": None,
-        "error": None,
+        **dict.fromkeys(("fold_t", "extremal_u0", "branch_stop", "error", *keys)),
     }
+
+
+def run_branch(cfg):
+    """Continue the branch and persist branch.csv + summary.json."""
+    basis, f = _build(cfg)
+    summary = _skeleton(cfg, "lambda_star_lo", "lambda_star_hi")
     try:
         lo, hi, br = branchsolve.estimate_lambda_star(
             basis,
@@ -230,24 +230,10 @@ def run_extremal(cfg):
     Without a refined fold the fold fields stay None and `error` says why.
     """
     basis, f = _build(cfg)
-    bound = regularity.decay_exponent_bound(cfg.n, cfg.s)
-    report = {
-        "n": cfg.n,
-        "s": cfg.s,
-        "f_spec": cfg.f_spec,
-        "modes": cfg.modes,
-        "fold_t": None,
-        "fold_lambda": None,
-        "extremal_u0": None,
-        "critical_dim": regularity.critical_dimension(cfg.s),
-        "decay_bound": bound,
-        "fitted_interior_decay": None,
-        "fit_r_squared": None,
-        "envelope_constant": None,
-        "boundary_rate": checks.boundary_rate(basis),
-        "branch_stop": None,
-        "error": None,
-    }
+    report = _skeleton(cfg, "fold_lambda", "fitted_interior_decay", "fit_r_squared",
+                       "envelope_constant")
+    report["boundary_rate"] = checks.boundary_rate(basis)
+    bound = report["decay_bound"]
     try:
         br = _branch_for_checks(cfg, basis, f)
         if br.fold_index is None:

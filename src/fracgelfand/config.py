@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import branchsolve
+from . import branchsolve, specfun
 
 
 class ConfigError(ValueError):
@@ -29,8 +29,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("n must be an integer >= 2")
+        n_max = 2 * specfun.MAX_ORDER + 2  # the basis needs the zeros of J_(n/2 - 1)
+        if not 2 <= self.n <= n_max:
+            raise ConfigError(f"n must be an integer in [2, {n_max}]: the Bessel order "
+                              f"n/2 - 1 of the basis is at most {specfun.MAX_ORDER}")
         if not (0 < self.s <= 1):
             raise ConfigError("s must lie in (0, 1]")
         if self.modes < 8:

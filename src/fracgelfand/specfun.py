@@ -2,7 +2,7 @@
 
 A thin wrapper around scipy.special plus a robust real-order zero finder
 (McMahon asymptotic guesses refined by Newton, with bisection fallback).
-Orders are restricted to [0, 60].
+Orders are restricted to [0, MAX_ORDER].
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 from scipy import special
+
+MAX_ORDER = 60  # the largest order bessel_j_zeros accepts
 
 
 class ZeroFindingError(RuntimeError):
@@ -92,8 +94,8 @@ def bessel_j_zeros(nu, count):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not (0 <= nu <= 60):
-        raise ValueError("order must lie in [0, 60]")
+    if not (0 <= nu <= MAX_ORDER):
+        raise ValueError(f"order must lie in [0, {MAX_ORDER}]")
     zeros = np.empty(count)
     prev = 0.0
     for k in range(1, count + 1):

@@ -307,13 +307,10 @@ class TestGram:
         u_nodes = np.random.default_rng(4).uniform(-1.0, 1.0, basis.quad_nodes.size)
         term = branchsolve._NonlinearTerm(basis, f)
         assert term.j0 > 0 and np.any(u_nodes[term.j0:] < 0)
-        for F, phi, g in (
-            (term.derivative(u_nodes), term.phi, term.w * f.deriv(u_nodes[term.j0:])),
-            (branchsolve._fprime_matrix(basis, u_nodes, f), basis.phi_table,
-             basis.quad_weights * f.deriv(u_nodes)),
-        ):
-            assert np.array_equal(F, F.T)
-            assert _rel_max(F, (phi * g) @ phi.T) <= 1e-13
+        F = term.derivative(u_nodes)
+        g = term.w * f.deriv(u_nodes[term.j0:])
+        assert np.array_equal(F, F.T)
+        assert _rel_max(F, (term.phi * g) @ term.phi.T) <= 1e-13
 
 
 class TestNewton:
@@ -380,19 +377,31 @@ class TestNewton:
 
     def test_walk_reuses_the_factorization(self, fexp, monkeypatch):
         # s = 1, n = 2 (Liouville-Bratu): lambda(t) = 8 (e^(-t/2) - e^(-t));
-        # chord steps converge to the same points with far fewer F builds
-        builds = []
-        fprime = branchsolve._fprime_matrix
+        # chord steps converge to the same points with far fewer F builds.
+        # Every Newton solve builds F from the nonlinear term, at least once
+        # per walked point; nu1's build in stability_eigenvalue is not counted
+        builds, in_stability = [], []
+        derivative = branchsolve._NonlinearTerm.derivative
+        stability = branchsolve.stability_eigenvalue
 
-        def counted(*args):
-            builds.append(1)
-            return fprime(*args)
+        def counted(term, u_nodes):
+            if not in_stability:
+                builds.append(1)
+            return derivative(term, u_nodes)
 
-        monkeypatch.setattr(branchsolve, "_fprime_matrix", counted)
+        def stability_counted(*args):
+            in_stability.append(1)
+            try:
+                return stability(*args)
+            finally:
+                in_stability.pop()
+
+        monkeypatch.setattr(branchsolve._NonlinearTerm, "derivative", counted)
+        monkeypatch.setattr(branchsolve, "stability_eigenvalue", stability_counted)
         t_grid = np.linspace(0.0, 3.0, 13)[1:]
         br = branchsolve.continue_branch(spectral.build_basis(2, 1.0, 128), t_grid, fexp)
         assert br.stop == "grid end"
-        assert len(builds) <= 2 * len(t_grid)
+        assert len(t_grid) <= len(builds) <= 2 * len(t_grid)
         for p in br.points:
             assert p.lam == pytest.approx(8.0 * (math.exp(-p.t / 2) - math.exp(-p.t)),
                                           rel=1e-9)
@@ -401,8 +410,8 @@ class TestNewton:
         # F = diag(mu^s) / lam makes the J block exactly zero at lam = 2
         basis = spectral.build_basis(3, 0.5, 16)
         lam = 2.0
-        monkeypatch.setattr(branchsolve, "_fprime_matrix",
-                            lambda basis, u_nodes, f: np.diag(basis.mu ** basis.s) / lam)
+        monkeypatch.setattr(branchsolve._NonlinearTerm, "derivative",
+                            lambda term, u_nodes: np.diag(basis.mu ** basis.s) / lam)
         guess = (spectral.RadialCoeffs(basis, np.zeros(basis.K)), lam)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -360,6 +360,7 @@ class TestCli:
             (["--f", "power:abc"], "bad f spec"),
             (["--f", "power:1"], "needs p > 1"),
             (["--config", "/nonexistent.cfg"], "No such file"),
+            (["--n", "130", "--modes", "8"], "n must be an integer in [2, 122]"),
         ],
     )
     def test_bad_configuration_is_usage_error(self, tmp_path, capsys, argv, message):
