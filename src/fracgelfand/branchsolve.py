@@ -13,6 +13,8 @@ one Newton kernel (`_bordered_newton`) with three border equations: the
 amplitude, lambda pinned, and the fold function.  All three build their J
 block from the nonlinear term's F; only continuation leaves out the sigma
 factor of the exact Jacobian F diag(sigma) (`_NonlinearTerm.jacobian`).
+Continuation and the fold solve stop at NEWTON_TOL, the certificate at the
+residual's rounding level (CERTIFY_FLOOR).
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ NEWTON_MAX_STEPS = 60  # residual checks per Newton solve
 CHORD_RATIO = 0.5
 FOLD_MARGIN = 1e-9  # relative; a lambda this far above a solved fold has no minimal solution
 FOLD_NU1_TOL = 1e-8  # |nu1| at which a solved fold point is accepted as the fold
+# the certificate's tolerance in units of eps |mu^s c|, the residual's rounding
+# level: at n = 20 (|mu^s c| = 0.63, so 5.6e-16) Newton's residual norms
+# level off at 5.4e-17 to 1.1e-16 and further steps only move rounding noise
+CERTIFY_FLOOR = 4.0
 
 
 class DivergenceSignal(Exception):
@@ -305,7 +311,9 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
     itself.  With `chord` the LU is kept while each norm is at most
     CHORD_RATIO times the previous one; without, every step refactors, and
     the first check after the first whose norm is not below the least so far
-    stalls the solve.  Returns (outcome, best, norm):
+    stalls the solve.  tol is NEWTON_TOL in continuation and the fold
+    solve, and the residual's rounding level in the certificate.  Returns
+    (outcome, best, norm):
     "converged" (norm <= tol), "stalled", "non-finite" (the norm),
     "singular" (a zero pivot) or "budget" (NEWTON_MAX_STEPS checks); best is
     (c, lam, res) of the least norm (None before a finite one), norm the last.
@@ -358,17 +366,19 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
 def _newton_certificate(basis, term, lam, c, tol):
     """The minimal solution by fixed-lambda Newton from the Picard iterate c, or None.
 
-    The kernel takes full steps with lambda pinned and tolerance 0, so it
-    goes on to rounding.  Its best point is accepted only if one Picard step
-    from it moves the nodes by less than tol, the monotone iteration's own
+    The kernel takes full steps with lambda pinned and stops at the
+    residual's rounding level, CERTIFY_FLOOR eps |mu^s c| for the Picard
+    iterate c.  Its best point is accepted only if one Picard step from it
+    moves the nodes by less than tol, the monotone iteration's own
     test, and nu1 > 0 there: for convex f the stable solution is the minimal
     one (Crandall & Rabinowitz, ARMA 58, 1975).  The coefficient residual is
     no test: at n = 20, Picard iterates 2.7e-3 apart at the nodes have
     residual 5e-9.
     """
     pin = np.zeros(basis.K)
+    floor = CERTIFY_FLOOR * np.finfo(float).eps * float(np.linalg.norm(basis.mu ** basis.s * c))
     _, best, _ = _bordered_newton(basis, term, c, lam, term.jacobian,
-                                  lambda *_: (0.0, pin, 1.0), 0.0, chord=False)
+                                  lambda *_: (0.0, pin, 1.0), floor, chord=False)
     if best is None:
         return None
     nodes = term._nonlinear_nodes(best[0])

@@ -227,7 +227,8 @@ def run_verify(cfg, names=None):
 def run_extremal(cfg):
     """Branch + decay diagnostics; writes extremal.json.
 
-    Without a refined fold the fold fields stay None and `error` says why.
+    Without a refined fold the fold fields stay None and `error` says why;
+    when the decay fit fails, the fold fields stay and `error` holds its message.
     """
     basis, f = _build(cfg)
     report = _skeleton(cfg, "fold_lambda", "fitted_interior_decay", "fit_r_squared",
@@ -244,19 +245,19 @@ def run_extremal(cfg):
     report["branch_stop"] = br.stop
     if report["error"] is None:
         fold = branchsolve.extremal_solution(br)
+        report.update(fold_t=fold.t, fold_lambda=fold.lam,
+                      extremal_u0=branchsolve.amplitude(fold.u))
         rho_fit = np.geomspace(1e-3, 0.3, 60)
-        mu_fit, _, r2 = regularity.fit_decay_exponent(fold.u, rho_fit)
-        report.update(
-            fold_t=fold.t,
-            fold_lambda=fold.lam,
-            extremal_u0=branchsolve.amplitude(fold.u),
-            fitted_interior_decay=mu_fit,
-            fit_r_squared=r2,
-        )
-        if bound > 0.1:
-            report["envelope_constant"] = regularity.decay_envelope_constant(
-                fold.u, bound - 0.1, rho_fit
-            )
+        try:
+            mu_fit, _, r2 = regularity.fit_decay_exponent(fold.u, rho_fit)
+        except ValueError as exc:
+            report["error"] = str(exc)
+        else:
+            report.update(fitted_interior_decay=mu_fit, fit_r_squared=r2)
+            if bound > 0.1:
+                report["envelope_constant"] = regularity.decay_envelope_constant(
+                    fold.u, bound - 0.1, rho_fit
+                )
     _atomic_write(Path(cfg.out_dir) / "extremal.json", _json_dump(report))
     return report
 

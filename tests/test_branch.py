@@ -209,6 +209,53 @@ class TestMonotoneIteration:
             assert np.max(np.abs(moved)) < branchsolve.MONOTONE_TOL
             assert branchsolve.stability_eigenvalue(u, lam, fexp) > 0.0
 
+    def test_certificate_stops_at_the_rounding_floor(self, fexp, monkeypatch):
+        # the iterate after CERTIFY_AFTER Picard steps 1e-4 below the K = 128
+        # fold; with tolerance 0 the certificate built F five times, going on
+        # below the residual's rounding level, and nu1 once more
+        basis = spectral.build_basis(20, 0.5, 128)
+        lam = 3.2775512695312505
+        term = branchsolve._NonlinearTerm(basis, fexp)
+        u_nodes = np.zeros_like(basis.quad_nodes)
+        for _ in range(branchsolve.CERTIFY_AFTER):
+            c, u_nodes = term.picard(lam, u_nodes)
+        builds = []
+        derivative = branchsolve._NonlinearTerm.derivative
+
+        def counted(term, u_nodes):
+            builds.append(1)
+            return derivative(term, u_nodes)
+
+        monkeypatch.setattr(branchsolve._NonlinearTerm, "derivative", counted)
+        u = branchsolve._newton_certificate(basis, term, lam, c, branchsolve.MONOTONE_TOL)
+        assert u is not None
+        assert len(builds) <= 3
+
+    def test_bisection_decisions_at_n20(self, fexp):
+        # 24 halvings on [0.1, 8]: b blew up, c converged (by Picard or by a
+        # certificate), f lies above the fold its fold solve found.  The
+        # closest step lies 1.9e-8 below that fold, 19 FOLD_MARGINs away
+        basis = spectral.build_basis(20, 0.5, 128)
+        lo, hi, mids, kinds, folds = 0.1, 8.0, [], [], []
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            try:
+                branchsolve.monotone_iterate(basis, mid, fexp)
+                lo = mid
+                kinds.append("c")
+            except branchsolve.DivergenceSignal as exc:
+                hi = mid
+                assert not exc.exhausted
+                kinds.append("b" if exc.fold_lambda is None else "f")
+                if exc.fold_lambda is not None:
+                    folds.append(exc.fold_lambda)
+        assert "".join(kinds) == "bccbbccbcccccfcfcfcccfff"
+        assert (lo, hi) == (3.277878999710083, 3.2778794705867766)
+        fold = np.median(folds)
+        assert max(folds) - min(folds) <= 1e-12 * fold
+        assert min(abs(m - fold) for m in mids) > 10 * branchsolve.FOLD_MARGIN * fold
+
     def test_exhausted_budget_is_named(self, fexp):
         basis = spectral.build_basis(3, 0.5, 32)
         with pytest.raises(branchsolve.DivergenceSignal, match="ran out of its 50") as got:
@@ -353,10 +400,11 @@ class TestNewton:
             branchsolve.newton_solve(basis, -0.1, fexp)
 
     def test_failed_solve_stops_at_its_last_residual_check(self, monkeypatch):
-        # from a cold start the residual norm overflows after a few dozen
-        # checks; every check before it takes one step, and that first
-        # non-finite check ends the solve without another F build
+        # f turns inf from its second call in the solve on: the first check
+        # takes one step with one F build, and the second, non-finite, check
+        # ends the solve without another F build or step
         counts = {"eval": 0, "deriv": 0, "step": 0}
+        first_inf = [math.inf]
 
         def counted(kind, g):
             def h(*args, **kwargs):
@@ -364,10 +412,15 @@ class TestNewton:
                 return g(*args, **kwargs)
             return h
 
-        f = branchsolve.Nonlinearity("exp", counted("eval", np.exp), counted("deriv", np.exp))
+        def exp_then_inf(u):
+            return np.exp(u) if counts["eval"] < first_inf[0] else np.full_like(u, np.inf)
+
+        f = branchsolve.Nonlinearity("exp", counted("eval", exp_then_inf),
+                                     counted("deriv", np.exp))
         monkeypatch.setattr(branchsolve.linalg, "lu_solve",
                             counted("step", branchsolve.linalg.lu_solve))
         counts.update(eval=0, deriv=0, step=0)
+        first_inf[0] = 2
         with pytest.raises(branchsolve.NewtonError,
                            match=r"did not converge at t=8\.0 \(residual (inf|nan)\)"):
             branchsolve.newton_solve(spectral.build_basis(3, 0.5, 64), 8.0, f)

@@ -216,6 +216,23 @@ class TestCli:
             assert rep[key] is None
         assert rep["boundary_rate"] > 0
 
+    def test_extremal_failed_decay_fit_writes_report(self, tmp_path, monkeypatch):
+        # the fit raises as at (5, 0.3, 128), where the fold's raw synthesis
+        # is negative near the axis; its message goes to `error`, the fold
+        # fields stay
+        def no_fit(u, rho):
+            raise ValueError("decay fit needs positive samples")
+
+        monkeypatch.setattr(cli.regularity, "fit_decay_exponent", no_fit)
+        argv = ["--n", "2", "--s", "1", "--modes", "64", "--t-max", "3", "--t-steps", "2"]
+        assert cli.main(["extremal", *argv, "--out-dir", str(tmp_path)]) == 1
+        rep = json.loads((tmp_path / "extremal.json").read_text())
+        assert rep["error"] == "decay fit needs positive samples"
+        assert rep["fold_lambda"] == pytest.approx(2.0, rel=1e-9)
+        assert rep["fold_t"] is not None and rep["extremal_u0"] is not None
+        for key in ("fitted_interior_decay", "fit_r_squared", "envelope_constant"):
+            assert rep[key] is None
+
     def test_extremal_refines_a_fold_at_the_first_walked_point(self, tmp_path):
         # grid [1.5, 3]: lambda decreases from the first point, past the
         # fold lambda* = 2 at t = ln 4 of (2, 1), which is still refined

@@ -76,6 +76,26 @@ class TestGaussRule:
         np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
 
+    def test_newton_rule_matches_leggauss_at_every_order(self):
+        for order in [*range(1, 201), 512, 1024, 2048]:
+            x, w = spectral._legendre_rule(order)
+            x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+            np.testing.assert_allclose(x, x_ref, rtol=0, atol=2.2e-16, err_msg=str(order))
+            np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-13, err_msg=str(order))
+
+    def test_newton_rule_matches_roots_legendre_at_4096(self):
+        x, w = spectral._legendre_rule(4096)
+        x_ref, w_ref = special.roots_legendre(4096)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=2.2e-16)
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+
+    def test_newton_rule_stops_at_its_cap(self, monkeypatch):
+        # with P_n = P_{n-1} = 1 every step moves each node by (x + 1) / n
+        monkeypatch.setattr(spectral.special, "eval_legendre",
+                            lambda n, x: np.ones_like(x))
+        with pytest.raises(RuntimeError, match="order 64 did not converge in 10 steps"):
+            spectral._gauss_rule(64, 0.0, 1.0)
+
 
 class TestEval:
     def test_dirichlet_condition(self, basis3):
