@@ -45,6 +45,9 @@ FOLD_NU1_TOL = 1e-8  # |nu1| at which a solved fold point is accepted as the fol
 # level: at n = 20 (|mu^s c| = 0.63, so 5.6e-16) Newton's residual norms
 # level off at 5.4e-17 to 1.1e-16 and further steps only move rounding noise
 CERTIFY_FLOOR = 4.0
+# default relative width of the lambda* bracket, and of the gap allowed
+# between its two routes; `config` reads its bracket_tol default from here
+BRACKET_REL_TOL = 1e-3
 
 
 class DivergenceSignal(Exception):
@@ -551,8 +554,7 @@ def continue_branch(basis, t_grid, f):
         elif prev2 is None:
             guess = (prev.u, prev.lam)
         else:
-            dt = prev.t - prev2.t
-            frac = (t - prev.t) / dt if dt > 0 else 0.0
+            frac = (t - prev.t) / (prev.t - prev2.t)
             c_pred = prev.u.c + frac * (prev.u.c - prev2.u.c)
             lam_pred = prev.lam + frac * (prev.lam - prev2.lam)
             guess = (spectral.RadialCoeffs(basis, c_pred), lam_pred)
@@ -593,7 +595,7 @@ def _refine_fold(basis, br, f):
     br.fold_index = int(np.argmax([p.lam for p in br.points]))
 
 
-def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=1e-3):
+def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=BRACKET_REL_TOL):
     """Two independent brackets for the extremal parameter.
 
     (i) maximum of the continued branch, with the fold solved for from the

@@ -65,8 +65,9 @@ def riesz_bound_ratio(points, f):
     radii in [0.02, 0.95]."""
     basis = points[0].u.basis
     C = extension.poisson_constant(basis.n, basis.s)
-    nodes = branchsolve._NonlinearTerm(basis, f)._nonlinear_nodes
-    hs = [spectral.analyze(basis, p.lam * f.eval(nodes(p.u.c))) for p in points]
+    term = branchsolve._NonlinearTerm(basis, f)
+    hs = [spectral.RadialCoeffs(basis, p.lam * term(term._nonlinear_nodes(p.u.c)))
+          for p in points]
     worst = 0.0
     for x in np.linspace(0.02, 0.95, 20):
         bounds = C * extension.riesz_potential_radial(hs, float(x))

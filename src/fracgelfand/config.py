@@ -13,7 +13,7 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_TOLERANCES = {"bracket_tol": 1e-3}
+DEFAULT_TOLERANCES = {"bracket_tol": branchsolve.BRACKET_REL_TOL}
 
 
 @dataclass

@@ -5,7 +5,9 @@ name; a renamed or re-signed function would only show when a traced
 benchmark run crashes.  This walks a tiny traced branch instead.  The
 tracer also rebuilds the nonlinearity positionally as
 `Nonlinearity(kind, eval, deriv)`, so traced Picard steps must take the
-same fold path as untraced ones.
+same fold path as untraced ones.  The per-layer metrics also name public
+functions, such as `specfun.bessel_j_zeros`; a traced basis build checks
+that the zero search still records its one span.
 """
 
 import importlib.util
@@ -54,6 +56,20 @@ def test_traced_walk_counts_fold_refinement(tmp_path):
     assert metrics["cli.bytes_written"][0] == 4
     assert _functions(spans.MODULES) == before
     assert branchsolve.exponential is exponential
+
+
+def test_traced_basis_build_counts_one_zero_search():
+    # the benchmark's per-layer metric for the zeros is this span's count:
+    # an inlined or renamed search would read 0 there
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        spectral.build_basis(3, 0.5, 16)
+    finally:
+        tracer.uninstall()
+    assert [sp.name for sp in tracer.spans].count("specfun.bessel_j_zeros") == 1
+    assert tracer.metrics(1)["specfun.bessel_j_zeros.calls"][0] == 1
 
 
 def _traced_picard(spans, basis, lam):

@@ -26,6 +26,11 @@ class TestBuildBasis:
         assert b.mu[0] == pytest.approx(oracle, rel=1e-12)
         assert b.mu[0] == pytest.approx(5.783185962947, rel=1e-11)
 
+    def test_n66_keeps_its_first_mode(self):
+        # order 32: a basis on j_(32,2), j_(32,3), ... passes the Gram check
+        b = spectral.build_basis(66, 0.5, 16)
+        assert b.mu[0] == pytest.approx(special.jn_zeros(32, 1)[0] ** 2, rel=1e-13)
+
     @pytest.mark.parametrize("n,s", [(2, 0.3), (3, 0.5), (5, 0.7), (4, 1.0)])
     def test_gram_matrix_is_identity(self, n, s):
         assert checks.gram_error(spectral.build_basis(n, s, 12)) < 1e-8
