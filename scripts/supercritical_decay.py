@@ -27,17 +27,11 @@ def main(argv=None):
     ap.add_argument("--out", default="decay.csv")
     args = ap.parse_args(argv)
 
-    f = branchsolve.exponential()
     basis = spectral.build_basis(args.n, args.s, args.modes)
-    # 40 halvings of [0.1, 8]
-    lam_hat, _ = branchsolve.picard_bisect(basis, f, 0.1, 8.0, width=1e-11)
-    u = branchsolve.monotone_iterate(basis, 0.995 * lam_hat, f)
-    uf = spectral.filtered(u)
-
-    mu = regularity.decay_exponent_bound(args.n, args.s) - 0.1
     rho = np.geomspace(args.rho_min, args.rho_max, 120)
+    lam_hat, uf, mu, C = regularity.near_extremal_envelope(
+        basis, branchsolve.exponential(), rho)
     vals = spectral.evaluate(uf, rho)
-    C = regularity.decay_envelope_constant(lambda r: spectral.evaluate(uf, r), mu, rho)
 
     print(f"lambda_hat = {lam_hat:.6f} (solved at 0.995*lambda_hat)")
     print(f"envelope exponent mu = {mu:.4f}, constant C = {C:.6g}")

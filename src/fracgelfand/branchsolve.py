@@ -36,8 +36,11 @@ WEIGHT_CUT = 1e-13  # relative quadrature weight below which f sees u = 0
 CERTIFY_AFTER = 100  # Picard steps without a decision before the Newton certificate
 NEWTON_MAX_STEPS = 60  # residual checks per Newton solve
 # chord steps keep the factored Jacobian while each step at least halves the
-# residual norm: the Newton-Shamanskii rule of C. T. Kelley, Solving Nonlinear
-# Equations with Newton's Method (SIAM 2003), section 2.3 and its nsold
+# residual norm (the Newton-Shamanskii rule of C. T. Kelley, Solving Nonlinear
+# Equations with Newton's Method, SIAM 2003, section 2.3 and its nsold), or
+# contracts it no worse than the LU's own first step did when that one
+# contracted it: continuation's J block leaves out sigma, so a fresh LU there
+# may contract no faster than a stale one
 CHORD_RATIO = 0.5
 FOLD_MARGIN = 1e-9  # relative; a lambda this far above a solved fold has no minimal solution
 FOLD_NU1_TOL = 1e-8  # |nu1| at which a solved fold point is accepted as the fold
@@ -312,11 +315,16 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
     alone, which differs from it only by the sigma factor.  `assemble()`
     writes J there and returns (buffer, G), for a border that solves with J
     itself.  With `chord` the LU is kept while each norm is at most
-    CHORD_RATIO times the previous one; without, every step refactors, and
-    the first check after the first whose norm is not below the least so far
-    stalls the solve.  tol is NEWTON_TOL in continuation and the fold
-    solve, and the residual's rounding level in the certificate.  Returns
-    (outcome, best, norm):
+    CHORD_RATIO times the previous one, or at most r_f times it with r_f < 1,
+    where r_f is that ratio for the LU's fresh step, the first step taken
+    with it: a fresh LU that contracts no faster than the kept one is not
+    worth its F build and factorization.  A fresh step that did not reduce
+    the norm (r_f >= 1) refactors at once.  With the exact Jacobian r_f is
+    at most 1/2 near the solution and the rule is Kelley's.  Without
+    `chord` every step refactors, and the first check after the first whose
+    norm is not below the least so far stalls the solve.  tol is NEWTON_TOL
+    in continuation and the fold solve, and the residual's rounding level in
+    the certificate.  Returns (outcome, best, norm):
     "converged" (norm <= tol), "stalled", "non-finite" (the norm),
     "singular" (a zero pivot) or "budget" (NEWTON_MAX_STEPS checks); best is
     (c, lam, res) of the least norm (None before a finite one), norm the last.
@@ -326,6 +334,7 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
     diag = np.arange(K)
     M = np.empty((K + 1, K + 1), order="F")
     lu, G, best, best_norm, last_norm = None, None, None, np.inf, np.inf
+    fresh_ratio = None  # r_f, None until the next check rates a new LU's first step
 
     def assemble():
         nonlocal G
@@ -354,12 +363,17 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
                 return "converged", best, norm
             if m == NEWTON_MAX_STEPS:
                 return "budget", best, norm
-            if not chord or lu is None or not norm <= CHORD_RATIO * last_norm:
+            ratio = norm / last_norm
+            if fresh_ratio is None:
+                fresh_ratio = ratio
+            if not (chord and lu is not None
+                    and (norm <= CHORD_RATIO * last_norm or ratio <= fresh_ratio < 1.0)):
                 assemble()
                 M[:K, K], M[K, :K], M[K, K] = -proj, row, corner
                 lu = linalg.lu_factor(M, overwrite_a=True, check_finite=False)
                 if not lu[0].diagonal().all():
                     return "singular", best, norm
+                fresh_ratio = None
             last_norm = norm
             # without finiteness checks a non-finite iterate is left to the next check
             step = linalg.lu_solve(lu, -np.concatenate([res, [r]]), check_finite=False)
@@ -457,19 +471,28 @@ def picard_bisect(basis, f, lo, hi, width):
     converges there (by Picard or by its Newton certificate) and hi if it
     raises DivergenceSignal: a step that blew up, one that lies above the
     fold its fold solve found, or one that ran out of its budget without a
-    certificate, counts as an upper end.  Returns (lo, hi).
+    certificate, counts as an upper end.  The first solved fold is kept, and
+    a midpoint more than FOLD_MARGIN (relative) above it is an upper end
+    without an iteration: there it blows up, or its own fold solve finds the
+    same fold.  Returns (lo, hi).
     width must be positive: the midpoint of two adjacent floats rounds onto
     one of them, so a zero width would never be reached.
     """
     if not width > 0:
         raise ValueError(f"bisection width must be > 0, got {width}")
+    fold = None
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
+        if fold is not None and mid > fold * (1.0 + FOLD_MARGIN):
+            hi = mid
+            continue
         try:
             monotone_iterate(basis, mid, f)
             lo = mid
-        except DivergenceSignal:
+        except DivergenceSignal as exc:
             hi = mid
+            if fold is None:
+                fold = exc.fold_lambda
     return lo, hi
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy import special
 
-from . import extension, spectral
+from . import branchsolve, extension, spectral
 
 
 def critical_dimension(s):
@@ -52,6 +52,21 @@ def decay_envelope_constant(u, mu, rho_range):
     rho = np.asarray(rho_range, dtype=float)
     vals = u(rho) if callable(u) else spectral.evaluate(u, rho)
     return float(np.max(vals * rho ** mu))
+
+
+def near_extremal_envelope(basis, f, rho_range):
+    """Decay envelope of the minimal solution just below the Picard threshold.
+
+    lambda-hat is the lower end of `branchsolve.picard_bisect` on [0.1, 8]
+    to width 1e-11 (40 halvings).  The minimal solution at 0.995 lambda-hat
+    is filtered, and C is its envelope constant on rho_range for the
+    exponent mu, 0.1 below `decay_exponent_bound`.  Returns
+    (lambda_hat, filtered solution, mu, C).
+    """
+    lam_hat, _ = branchsolve.picard_bisect(basis, f, 0.1, 8.0, width=1e-11)
+    uf = spectral.filtered(branchsolve.monotone_iterate(basis, 0.995 * lam_hat, f))
+    mu = decay_exponent_bound(basis.n, basis.s) - 0.1
+    return lam_hat, uf, mu, decay_envelope_constant(uf, mu, rho_range)
 
 
 def boundary_decay_rate(u):

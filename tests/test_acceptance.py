@@ -167,21 +167,12 @@ class TestCriterion7:
 class TestCriterion8:
     def test_supercritical_decay_envelope(self, fexp):
         t0 = time.perf_counter()
-        n, s = 20, 0.5
-        mu = regularity.decay_exponent_bound(n, s) - 0.1
         rho = np.geomspace(1e-3, 0.3, 80)
         consts = []
         for K in (512, 1024):
-            basis = spectral.build_basis(n, s, K)
-            # 40 halvings of [0.1, 8]
-            lo, _ = branchsolve.picard_bisect(basis, fexp, 0.1, 8.0, width=1e-11)
-            u = branchsolve.monotone_iterate(basis, 0.995 * lo, fexp)
-            uf = spectral.filtered(u)
-            consts.append(
-                regularity.decay_envelope_constant(
-                    lambda r: spectral.evaluate(uf, r), mu, rho
-                )
-            )
+            basis = spectral.build_basis(20, 0.5, K)
+            _, _, mu, C = regularity.near_extremal_envelope(basis, fexp, rho)
+            consts.append(C)
         rel = abs(consts[1] - consts[0]) / consts[0]
         ok = rel <= 0.10 and all(np.isfinite(consts)) and consts[0] > 0
         _report(

@@ -429,8 +429,9 @@ class TestNewton:
         assert counts["deriv"] < counts["eval"]
 
     def test_walk_reuses_the_factorization(self, fexp, monkeypatch):
-        # s = 1, n = 2 (Liouville-Bratu): lambda(t) = 8 (e^(-t/2) - e^(-t));
-        # chord steps converge to the same points with far fewer F builds.
+        # s = 1, n = 2 (Liouville-Bratu): lambda(t) = 8 (e^(-t/2) - e^(-t))
+        # exactly; the walks on t <= 4 stay within 1.2e-9 (K = 64) and
+        # 3.4e-11 (K = 128) of it, with far fewer F builds than checks.
         # Every Newton solve builds F from the nonlinear term, at least once
         # per walked point; nu1's build in stability_eigenvalue is not counted
         builds, in_stability = [], []
@@ -451,13 +452,45 @@ class TestNewton:
 
         monkeypatch.setattr(branchsolve._NonlinearTerm, "derivative", counted)
         monkeypatch.setattr(branchsolve, "stability_eigenvalue", stability_counted)
-        t_grid = np.linspace(0.0, 3.0, 13)[1:]
-        br = branchsolve.continue_branch(spectral.build_basis(2, 1.0, 128), t_grid, fexp)
-        assert br.stop == "grid end"
-        assert len(t_grid) <= len(builds) <= 2 * len(t_grid)
-        for p in br.points:
-            assert p.lam == pytest.approx(8.0 * (math.exp(-p.t / 2) - math.exp(-p.t)),
-                                          rel=1e-9)
+        t_grid = np.linspace(0.0, 4.0, 17)[1:]
+        for K, rel in ((64, 5e-9), (128, 1e-10)):
+            builds.clear()
+            br = branchsolve.continue_branch(spectral.build_basis(2, 1.0, K), t_grid, fexp)
+            assert br.stop == "grid end"
+            assert len(t_grid) <= len(builds) <= 2 * len(t_grid)
+            for p in br.points:
+                assert p.lam == pytest.approx(8.0 * (math.exp(-p.t / 2) - math.exp(-p.t)),
+                                              rel=rel)
+
+    def test_chord_keeps_a_factorization_a_fresh_one_cannot_beat(self, fexp, monkeypatch):
+        # the J block shifted by 10 lambda I: every step, on a fresh LU or an
+        # old one, contracts the norm at about the same ratio in (1/2, 1), so
+        # a refactorization at each check above CHORD_RATIO buys nothing
+        basis = spectral.build_basis(3, 0.5, 16)
+        exact = branchsolve.newton_solve(basis, 1.0, fexp)
+        derivative = branchsolve._NonlinearTerm.derivative
+        monkeypatch.setattr(branchsolve._NonlinearTerm, "derivative",
+                            lambda term, u_nodes: derivative(term, u_nodes) * term.sigma
+                            - 10.0 * np.eye(basis.K))
+        factor, solve = branchsolve.linalg.lu_factor, branchsolve.linalg.lu_solve
+        factors, norms = [], []
+
+        def counted_factor(*args, **kwargs):
+            factors.append(1)
+            return factor(*args, **kwargs)
+
+        def counted_solve(lu, rhs, **kwargs):
+            norms.append(float(np.linalg.norm(rhs)))
+            return solve(lu, rhs, **kwargs)
+
+        monkeypatch.setattr(branchsolve.linalg, "lu_factor", counted_factor)
+        monkeypatch.setattr(branchsolve.linalg, "lu_solve", counted_solve)
+        p = branchsolve.newton_solve(basis, 1.0, fexp)
+        ratios = np.array(norms[1:]) / np.array(norms[:-1])
+        assert np.all((ratios[2:] > 0.5) & (ratios[2:] < 1.0))
+        assert len(norms) >= 40
+        assert len(factors) <= len(norms) // 4
+        assert p.lam == pytest.approx(exact.lam, rel=1e-9)
 
     def test_singular_jacobian_is_named(self, monkeypatch):
         # F = diag(mu^s) / lam makes the J block exactly zero at lam = 2
@@ -655,6 +688,31 @@ class TestPicardBisect:
         assert lo < 3.25 <= hi
         assert hi - lo <= 1e-11
         assert branchsolve.picard_bisect(None, None, 1.0, 1.5, width=0.5) == (1.0, 1.5)
+
+    def test_skips_steps_above_the_solved_fold(self, monkeypatch):
+        # a stand-in whose every step above lambda = 3.25 lies above the fold
+        # it solves there: after the first such step, midpoints more than
+        # FOLD_MARGIN above that fold are upper ends without an iteration
+        fold = 3.25
+        brackets = {}
+        for fold_lambda in (None, fold):
+            calls = []
+
+            def threshold(basis, lam, f, max_iter=4000):
+                calls.append(lam)
+                if lam >= fold:
+                    raise branchsolve.DivergenceSignal(
+                        lam, branchsolve.CERTIFY_AFTER, 1.0, exhausted=False,
+                        fold_lambda=fold_lambda)
+
+            monkeypatch.setattr(branchsolve, "monotone_iterate", threshold)
+            brackets[fold_lambda] = branchsolve.picard_bisect(None, None, 0.1, 8.0, width=1e-11)
+            above = [lam for lam in calls if lam > fold * (1.0 + branchsolve.FOLD_MARGIN)]
+            if fold_lambda is None:
+                assert len(calls) == 40 and len(above) > 1
+            else:
+                assert len(above) == 1 and len(calls) < 40
+        assert brackets[None] == brackets[fold]
 
     @pytest.mark.parametrize("width", [0.0, -1.0])
     def test_rejects_nonpositive_width(self, monkeypatch, width):
