@@ -113,21 +113,15 @@ def weighted_key_ratio(br):
     spec = extension.CutoffSpec(
         alpha=1.0 + math.sqrt(br.points[idx].u.basis.n - 1.0) - 0.1, epsilon=0.01, R=5.0
     )
-    vals = [
-        extension.weighted_vrho_integral(p.u, spec)
-        for p in (br.points[idx - 1], br.points[idx])
-    ]
-    return vals[1] / vals[0] if vals[0] else 1.0
+    vals = extension.weighted_vrho_integral([br.points[idx - 1].u, br.points[idx].u], spec)
+    return float(vals[1] / vals[0]) if vals[0] else 1.0
 
 
 def stability_margin(points):
     """Smallest lhs - rhs of the weighted stability inequality over the points."""
     spec = extension.CutoffSpec(alpha=1.0, epsilon=0.05, R=3.0)
-    worst = np.inf
-    for p in points:
-        lhs, rhs = extension.stability_weighted_inequality(p.u, spec)
-        worst = min(worst, lhs - rhs)
-    return worst
+    sides = extension.stability_weighted_inequality([p.u for p in points], spec)
+    return float(np.min(sides[:, 0] - sides[:, 1]))
 
 
 def y_decay_rate(u):

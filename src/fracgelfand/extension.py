@@ -185,40 +185,53 @@ def _cutoff_parts(spec, rho, y):
     return eta, d_rho, d_y
 
 
-def _vrho_table(u, rho, y):
-    g, _ = _profile_tables(u.basis, y)
-    dphi = u.basis.phi_prime_matrix(rho)
-    return (u.c[:, None] * dphi).T @ g
+def _traces(u):
+    """(traces, single): u as a list of RadialCoeffs on one basis, and
+    whether it was given as one RadialCoeffs."""
+    single = isinstance(u, spectral.RadialCoeffs)
+    us = [u] if single else list(u)
+    if not us:
+        raise ValueError("no functions given")
+    if any(g.basis is not us[0].basis for g in us):
+        raise ValueError("all functions must share one basis")
+    return us, single
 
 
 def weighted_vrho_integral(u, spec):
     """int_{rho <= 1/2} y^(1-2s) v_rho^2 rho^(-2 alpha) dx dy for the
     extension v of the trace u.
 
+    u is one RadialCoeffs, giving a float, or a sequence of them on one
+    basis, giving an array with one integral per trace; the vertical rule,
+    the profile table and the two radial tables are built once per call.
     Radial quadrature is graded toward the axis (v_rho = O(rho) keeps the
     integrand integrable for alpha < 1 + sqrt(n-1)); stability under
-    refinement is checked and a divergence flag raised otherwise.
+    refinement is checked for every trace and a divergence flag raised
+    otherwise.
     """
-    basis = u.basis
+    us, single = _traces(u)
+    basis = us[0].basis
+    y, wy = vertical_grid(basis, panels=32)
+    g, _ = _profile_tables(basis, y)
     vals = []
     for m in (400, 800):
         t, tw = spectral._gauss_rule(m, 0.0, 1.0)
         # rho = 0.5 t^4 clusters nodes at the axis
         rho = 0.5 * t ** 4
         drho = 0.5 * 4.0 * t ** 3 * tw
-        y, wy = vertical_grid(basis, panels=32)
-        v_rho = _vrho_table(u, rho, y)
+        dphi = basis.phi_prime_matrix(rho)
         wr = (
             spectral.sphere_area(basis.n)
             * rho ** (basis.n - 1.0 - 2.0 * spec.alpha)
             * drho
         )
-        vals.append(float(wr @ v_rho ** 2 @ wy))
-    if vals[0] != 0.0 and abs(vals[1] - vals[0]) > 5e-3 * abs(vals[1]):
-        raise QuadratureError(
-            f"weighted v_rho integral not stabilizing: {vals[0]:.6e} vs {vals[1]:.6e}"
-        )
-    return vals[1]
+        vals.append([float(wr @ ((v.c[:, None] * dphi).T @ g) ** 2 @ wy) for v in us])
+    for coarse, fine in zip(*vals):
+        if coarse != 0.0 and abs(fine - coarse) > 5e-3 * abs(fine):
+            raise QuadratureError(
+                f"weighted v_rho integral not stabilizing: {coarse:.6e} vs {fine:.6e}"
+            )
+    return vals[1][0] if single else np.array(vals[1])
 
 
 def stability_weighted_inequality(u, spec):
@@ -227,19 +240,32 @@ def stability_weighted_inequality(u, spec):
 
     Returns (lhs, rhs) with lhs = int y^(1-2s) v_rho^2 |grad eta|^2 and
     rhs = (n-1) int y^(1-2s) v_rho^2 eta^2 / rho^2; semi-stability of the
-    trace forces lhs >= rhs.
+    trace forces lhs >= rhs.  u is one RadialCoeffs, giving the tuple, or a
+    sequence of them on one basis, giving an array of (lhs, rhs) rows; the
+    rule, the profile and phi' tables and the cutoff are built once per call.
     """
-    basis = u.basis
+    us, single = _traces(u)
+    basis = us[0].basis
     t, tw = spectral._gauss_rule(600, 0.0, 1.0)
     rho = t ** 3          # graded toward the axis, covers (0, 1)
     drho = 3.0 * t ** 2 * tw
     y, wy = vertical_grid(basis, y_max=spec.R + 1.5)
-    v_rho = _vrho_table(u, rho, y)
-    eta, eta_r, eta_y = _cutoff_parts(spec, rho, y)
+    g, _ = _profile_tables(basis, y)
+    dphi = basis.phi_prime_matrix(rho)
+    # eta^2 and |grad eta|^2 = eta_rho^2 + eta_y^2, squared in place so
+    # that the loop over the traces holds two cutoff grids
+    eta2, grad2, eta_y2 = [np.square(part, out=part) for part in _cutoff_parts(spec, rho, y)]
+    grad2 += eta_y2
+    del eta_y2
+    rho2 = rho[:, None] ** 2
     wr = spectral.sphere_area(basis.n) * rho ** (basis.n - 1.0) * drho
-    lhs = float(wr @ (v_rho ** 2 * (eta_r ** 2 + eta_y ** 2)) @ wy)
-    rhs = (basis.n - 1.0) * float(wr @ (v_rho ** 2 * eta ** 2 / rho[:, None] ** 2) @ wy)
-    return lhs, rhs
+    sides = []
+    for v in us:
+        v2 = ((v.c[:, None] * dphi).T @ g) ** 2
+        lhs = float(wr @ (v2 * grad2) @ wy)
+        rhs = (basis.n - 1.0) * float(wr @ (v2 * eta2 / rho2) @ wy)
+        sides.append((lhs, rhs))
+    return sides[0] if single else np.array(sides)
 
 
 def poisson_constant(n, s):
@@ -300,11 +326,8 @@ def riesz_potential_radial(h, x_mag):
     functions share one table of basis values, built in blocks of
     _RIESZ_BLOCK radii.
     """
-    single = isinstance(h, spectral.RadialCoeffs)
-    hs = [h] if single else list(h)
+    hs, single = _traces(h)
     basis = hs[0].basis
-    if any(g.basis is not basis for g in hs):
-        raise ValueError("all functions must share one basis")
     C = np.stack([g.c for g in hs])
     r, w = _riesz_samples(basis.n, basis.s, float(x_mag))
     total = np.zeros(len(hs))

@@ -11,6 +11,7 @@ L^2(B_1).  Everything downstream operates on coefficient vectors in this basis;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,9 +47,9 @@ class BallBasis:
         """(K, len(rho)) table of phi_k(rho)."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         roots = np.sqrt(self.mu)
-        return self.norm_consts[:, None] * _radial_kernel(
-            self.nu, roots[:, None], rho[None, :]
-        )
+        table = _radial_kernel(self.nu, roots[:, None], rho[None, :])
+        table *= self.norm_consts[:, None]
+        return table
 
     def phi_prime_matrix(self, rho):
         """(K, len(rho)) table of d(phi_k)/d(rho); zero on the axis.
@@ -79,7 +80,8 @@ class RadialCoeffs:
 
 # entries per block of _bessel_j: the recurrence's temporaries stay a few MB
 # whatever the size of the table, and with out=z a table build holds one
-# K x Q array where a whole-table evaluation holds three
+# K x Q array where a whole-table evaluation holds three; a block whose
+# entries all take the recurrence skips the masks
 _BESSEL_BLOCK = 2 ** 16
 
 
@@ -94,7 +96,10 @@ def _bessel_j(nu, z, out=None):
     (nu > 1 only) the entries come from `special.jv`: 3-6 % of a K = 1024
     basis table, 10-22 % at K = 64.  z = 0 is exact.  The rows of z (the
     modes of a table) are computed in blocks of about _BESSEL_BLOCK entries,
-    so `out` may be z itself: a block is read before it is written.
+    so `out` may be z itself: a block is read before it is written.  A
+    block whose entries all take the recurrence (every n = 3 table, and
+    every n = 2 table off the axis) runs it on the block itself, without
+    the masks that split it from the `jv` and z = 0 entries.
     """
     if nu < 0 or 2.0 * nu != int(2.0 * nu):
         raise ValueError(f"order {nu} is not a non-negative integer or half-integer")
@@ -109,10 +114,17 @@ def _bessel_j(nu, z, out=None):
 
 def _bessel_j_block(nu, z):
     """_bessel_j on one block: jv below z = nu, the seeds and recurrence above."""
-    out = np.empty_like(z)
     rec = z >= nu if nu > 1 else z != 0.0
+    if rec.all():
+        return _bessel_j_recurrence(nu, z)
+    out = np.empty_like(z)
     out[~rec] = special.jv(nu, z[~rec]) if nu > 1 else float(nu == 0)
-    x = z[rec]
+    out[rec] = _bessel_j_recurrence(nu, z[rec])
+    return out
+
+
+def _bessel_j_recurrence(nu, x):
+    """J_nu(x) from the seeds and the upward recurrence, on an array x > 0."""
     if nu == int(nu):
         m, cur = 0.0, special.j0(x)
         if nu >= 1:
@@ -127,8 +139,7 @@ def _bessel_j_block(nu, z):
         while m < nu:
             prev, cur = cur, m * two_over_x * cur - prev
             m += 1.0
-    out[rec] = cur
-    return out
+    return cur
 
 
 def _radial_kernel(nu, lam, rho):
@@ -160,6 +171,7 @@ def _gauss_rule(order, a, b):
     return 0.5 * (x + 1.0) * (b - a) + a, 0.5 * w * (b - a)
 
 
+@functools.cache
 def _legendre_rule(n):
     """The n-point Gauss-Legendre rule on [-1, 1], nodes increasing, by Newton.
 
@@ -175,6 +187,10 @@ def _legendre_rule(n):
     `scipy.special.roots_legendre` scales its own.  Against numpy's
     `leggauss` at orders 1-200, 512, 1024 and 2048 the nodes agree to
     1.1e-16 and the weights to 8.6e-14.
+
+    The rule is built once per order and cached for the life of the
+    process; the arrays it returns are shared, so they are read-only.
+    `_gauss_rule` maps them onto new arrays.
     """
     k = np.arange(1, (n + 1) // 2 + 1)
     x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
@@ -191,7 +207,9 @@ def _legendre_rule(n):
     half = n // 2
     x = np.concatenate([-x[:half], x[::-1]])
     w = np.concatenate([w[:half], w[::-1]])
-    return x, w * (2.0 / w.sum())
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def build_basis(n, s, K, quad_order=None):

@@ -160,6 +160,60 @@ class TestWeightedIntegrals:
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
 
+class TestBatchedWeightedIntegrals:
+    @staticmethod
+    def _traces(basis, count, seed):
+        # decaying coefficients, as a branch point's are
+        rng = np.random.default_rng(seed)
+        k = np.arange(1, basis.K + 1)
+        return [spectral.RadialCoeffs(basis, rng.normal(size=basis.K) / k ** 2)
+                for _ in range(count)]
+
+    @staticmethod
+    def _specs(n):
+        return (extension.CutoffSpec(alpha=1.0 + math.sqrt(n - 1.0) - 0.1, epsilon=0.01, R=5.0),
+                extension.CutoffSpec(alpha=1.0, epsilon=0.05, R=3.0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_equals_single_calls(self, n):
+        b = spectral.build_basis(n, 0.5, 16)
+        us = self._traces(b, 3, n)
+        key_spec, stab_spec = self._specs(n)
+        vals = extension.weighted_vrho_integral(us, key_spec)
+        assert isinstance(vals, np.ndarray) and vals.shape == (3,)
+        assert list(vals) == [extension.weighted_vrho_integral(u, key_spec) for u in us]
+        sides = extension.stability_weighted_inequality(us, stab_spec)
+        assert isinstance(sides, np.ndarray) and sides.shape == (3, 2)
+        assert [tuple(row) for row in sides] == [
+            extension.stability_weighted_inequality(u, stab_spec) for u in us
+        ]
+
+    def test_single_trace_keeps_its_return_type(self, basis3):
+        u = self._traces(basis3, 1, 0)[0]
+        key_spec, stab_spec = self._specs(3)
+        assert type(extension.weighted_vrho_integral(u, key_spec)) is float
+        sides = extension.stability_weighted_inequality(u, stab_spec)
+        assert type(sides) is tuple and [type(v) for v in sides] == [float, float]
+
+    def test_traces_on_different_bases_raise(self, basis3):
+        other = spectral.build_basis(3, 0.5, 8)
+        us = [self._traces(basis3, 1, 0)[0], self._traces(other, 1, 1)[0]]
+        key_spec, stab_spec = self._specs(3)
+        with pytest.raises(ValueError, match="share one basis"):
+            extension.weighted_vrho_integral(us, key_spec)
+        with pytest.raises(ValueError, match="share one basis"):
+            extension.stability_weighted_inequality(us, stab_spec)
+
+    def test_zero_trace_inside_a_batch(self, basis3):
+        zero = spectral.RadialCoeffs(basis3, np.zeros(basis3.K))
+        u, w = self._traces(basis3, 2, 2)
+        key_spec, stab_spec = self._specs(3)
+        vals = extension.weighted_vrho_integral([u, zero, w], key_spec)
+        assert vals[1] == 0.0 and vals[0] > 0.0 and vals[2] > 0.0
+        sides = extension.stability_weighted_inequality([u, zero, w], stab_spec)
+        assert tuple(sides[1]) == (0.0, 0.0) and np.all(sides[[0, 2]] > 0.0)
+
+
 class TestPoissonConstant:
     def test_n2_half_s(self):
         # int (1+|z|^2)^(-3/2) dz over R^2 is 2 pi

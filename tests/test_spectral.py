@@ -95,11 +95,29 @@ class TestGaussRule:
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
 
     def test_newton_rule_stops_at_its_cap(self, monkeypatch):
-        # with P_n = P_{n-1} = 1 every step moves each node by (x + 1) / n
+        # with P_n = P_{n-1} = 1 every step moves each node by (x + 1) / n;
+        # a cached order 64 would never reach the patched eval_legendre
+        spectral._legendre_rule.cache_clear()
         monkeypatch.setattr(spectral.special, "eval_legendre",
                             lambda n, x: np.ones_like(x))
         with pytest.raises(RuntimeError, match="order 64 did not converge in 10 steps"):
             spectral._gauss_rule(64, 0.0, 1.0)
+
+    def test_rule_is_built_once_per_order(self):
+        x, w = spectral._legendre_rule(37)
+        assert spectral._legendre_rule(37)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        x_ref, w_ref = spectral._legendre_rule.__wrapped__(37)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(w, w_ref)
+        # _gauss_rule hands out its own arrays: writing them leaves the cache
+        t, tw = spectral._gauss_rule(37, -1.0, 1.0)
+        assert t.flags.writeable and tw.flags.writeable
+        np.testing.assert_allclose(t, x_ref, rtol=0, atol=2.2e-16)
+        np.testing.assert_array_equal(tw, w_ref)
+        t[:], tw[:] = 0.0, 0.0
+        np.testing.assert_array_equal(spectral._legendre_rule(37)[0], x_ref)
+        np.testing.assert_array_equal(spectral._legendre_rule(37)[1], w_ref)
 
 
 class TestEval:
@@ -162,6 +180,14 @@ class TestBesselKernel:
         np.testing.assert_array_equal(table, rows)
         spectral._bessel_j(nu, z, out=z)
         np.testing.assert_array_equal(z, table)
+
+    @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.5, 2.5, 9.0])
+    def test_unmasked_block_matches_masked(self, order):
+        # a block whose entries all take the recurrence skips the masks; one
+        # z = 0 entry (below nu for nu > 1) sends the same values through them
+        z = np.random.default_rng(1).uniform(order + 1e-3, 200.0, size=5000)
+        masked = spectral._bessel_j(order, np.append(z, 0.0))
+        np.testing.assert_array_equal(spectral._bessel_j(order, z), masked[:-1])
 
     def test_rejects_other_orders(self):
         for order in (-0.5, 0.3):
