@@ -169,31 +169,31 @@ class _NonlinearTerm:
     The cut nodes are the prefix of the rho-sorted nodes before j0: the
     weights |S^(n-1)| rho^(n-1) w_GL increase from the axis to their maximum
     (rho = 0.83 at n = 3, 0.97 at n = 20), and past it they stay far above
-    the cut (at least 2e-3 of the largest at K = 512).  So synthesis, f and
-    the projection run on the kept nodes only, and the cut nodes' f(0) share
-    of the projection is one constant vector.  It stays in the sum: at
-    n = 20 it is 4.5e-8 of the projection, above the Picard tolerance.
+    the cut (at least 2e-3 of the largest at K = 512).  The cut is decided
+    here alone: every node array the term takes or returns holds the kept
+    nodes j0, j0 + 1, ... only, and the cut nodes' f(0) share of the
+    projection is one constant vector.  It stays in the sum: at n = 20 it
+    is 4.5e-8 of the projection, above the Picard tolerance.
     """
 
     def __init__(self, basis, f):
         w = basis.quad_weights
-        self.j0 = int(np.argmax(w > WEIGHT_CUT * w.max()))
+        self.j0 = j0 = int(np.argmax(w > WEIGHT_CUT * w.max()))
         self.f = f
-        self.phi = basis.phi_table[:, self.j0:]
-        self.w = w[self.j0:]
+        self.phi = basis.phi_table[:, j0:]
+        self.w = w[j0:]
         self.sigma = spectral._filter_factors(basis.K)
         self.mu_inv_s = basis.mu ** (-basis.s)
-        self.cut_share = basis.phi_table[:, : self.j0] @ (w[: self.j0] * f.f0)
+        self.cut_share = basis.phi_table[:, :j0] @ (w[:j0] * f.f0)
 
     def _nonlinear_nodes(self, c):
-        """u~ at every node: the filtered synthesis of c, zero on the cut."""
-        return np.concatenate([np.zeros(self.j0), (c * self.sigma) @ self.phi])
+        """u~ on the kept nodes: the filtered synthesis of c."""
+        return (c * self.sigma) @ self.phi
 
     def __call__(self, u_nodes):
-        """P[f(u~)] from the node values of `_nonlinear_nodes`."""
+        """P[f(u~)] from the kept-node values of `_nonlinear_nodes`."""
         with np.errstate(over="ignore", invalid="ignore"):
-            fu = self.f.eval(u_nodes[self.j0:])
-            return self.phi @ (self.w * fu) + self.cut_share
+            return self.phi @ (self.w * self.f.eval(u_nodes)) + self.cut_share
 
     def picard(self, lam, u_nodes):
         """One monotone step: c = lambda mu^(-s) P[f(u~)] and its node values."""
@@ -202,25 +202,26 @@ class _NonlinearTerm:
             return c, self._nonlinear_nodes(c)
 
     def derivative(self, u_nodes):
-        """F = Phi_kept W_kept f'(u~_kept) Phi_kept^T at the node values u_nodes."""
+        """F = Phi_kept W_kept f'(u~) Phi_kept^T at the kept-node values u_nodes."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _gram(self.phi, self.w * self.f.deriv(u_nodes[self.j0:]))
+            return _gram(self.phi, self.w * self.f.deriv(u_nodes))
 
     def jacobian(self, u_nodes):
         """F diag(sigma), the Jacobian of P[f(u~)] in c (u~ filtered, 0 on the cut)."""
         return self.derivative(u_nodes) * self.sigma
 
     def curvature(self, u_nodes):
-        """W_kept f''(u~_kept), f'' as a central difference of f'.
+        """W_kept f''(u~) at the kept-node values u_nodes, by a complex step on f'.
 
-        f'' enters only the fold solve's Jacobian, never a residual, so the
-        step h = 6e-6 (1 + |u|), about eps^(1/3) relative, is enough.
+        Im f'(u + ih) / h = f''(u) - h^2 f''''(u) / 6 + ... takes no
+        difference of two values, so at h = 2^-100 it is f'' exact to
+        rounding (Squire & Trapp, SIAM Rev. 40, 1998).  f' must take complex
+        arguments, as numpy's exp and powers do.  f'' enters only the fold
+        solve's Jacobian.
         """
-        u = u_nodes[self.j0:]
-        h = 6e-6 * (1.0 + np.abs(u))
-        up, down = u + h, u - h
+        h = 2.0 ** -100
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.w * (self.f.deriv(up) - self.f.deriv(down)) / (up - down)
+            return self.w * self.f.deriv(u_nodes + 1j * h).imag / h
 
 
 def residual(u, lam, f):
@@ -284,7 +285,7 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     term = _NonlinearTerm(basis, f)
-    u_nodes = np.zeros_like(basis.quad_nodes)
+    u_nodes = np.zeros_like(term.w)
     for m in range(1, max_iter + 1):
         c_new, new_nodes = term.picard(lam, u_nodes)
         amp = float(np.max(np.abs(new_nodes)))
@@ -418,7 +419,8 @@ def _fold_solve(basis, term, lam, c):
     eigenvector of the symmetric form at the start, approximate J's null
     vectors.  The transposed solve [w; .] of the same LU gives g_lambda =
     w^T F sigma v and g_c = lambda sigma Phi (W f''(u~) Phi^T w Phi^T sigma
-    v), so a step costs one F, two (K+1)^2 LUs and a few products.  The best
+    v) on the kept nodes, f'' by a complex step on f' (`curvature`), so a
+    step costs one F, two (K+1)^2 LUs and a few products.  The best
     point is accepted, with its nu1 and coefficient residual, if that
     residual is at most NEWTON_TOL and |nu1| at most FOLD_NU1_TOL: a
     semistable solution ends the minimal branch for convex f (Crandall &
@@ -632,11 +634,8 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=BRACK
     or when the monotone iteration gives no bracket around the fold.
     Returns (lo, hi, branch).
     """
-    t_grid = np.linspace(0.0, t_max, t_steps + 1)[1:]
-    br = continue_branch(basis, t_grid, f)
-    if br.fold_index is None:
-        raise BranchError("no fold detected; increase t_max", br)
-    lam_fold = br.lambda_max
+    br = _walk(basis, f, t_max, t_steps)
+    lam_fold = extremal_solution(br).lam
 
     lo, hi = lam_fold * (1.0 - 2.0 * bracket_rel_tol), lam_fold * (1.0 + 0.05)
     try:
@@ -671,8 +670,16 @@ def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=BRACK
     return lo, hi, br
 
 
+def _walk(basis, f, t_max, t_steps):
+    """`continue_branch` over the amplitude grid t_max / t_steps, 2 t_max / t_steps, ..., t_max."""
+    return continue_branch(basis, np.linspace(0.0, t_max, t_steps + 1)[1:], f)
+
+
 def extremal_solution(br):
-    """Branch point of largest lambda (the fold); its trace approximates u*."""
+    """Branch point of largest lambda (the fold); its trace approximates u*.
+
+    A branch without a fold raises BranchError carrying it.
+    """
     if br.fold_index is None:
-        raise ValueError("branch has no fold")
+        raise BranchError("no fold detected; increase t_max", br)
     return br.points[br.fold_index]

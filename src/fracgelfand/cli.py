@@ -15,6 +15,7 @@ written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -57,7 +58,7 @@ def _skeleton(cfg, *keys):
     return {
         "n": cfg.n,
         "s": cfg.s,
-        "f_spec": cfg.f_spec,
+        "f_spec": cfg.f,
         "modes": cfg.modes,
         "critical_dim": regularity.critical_dimension(cfg.s),
         "decay_bound": regularity.decay_exponent_bound(cfg.n, cfg.s),
@@ -106,11 +107,6 @@ def run_branch(cfg):
     _atomic_write(out / "branch.csv", "\n".join(lines) + "\n")
     _atomic_write(out / "summary.json", _json_dump(summary))
     return br, summary
-
-
-def _branch_for_checks(cfg, basis, f):
-    t_grid = np.linspace(0.0, cfg.t_max, cfg.t_steps + 1)[1:]
-    return branchsolve.continue_branch(basis, t_grid, f)
 
 
 def _once(fn):
@@ -205,7 +201,7 @@ def run_verify(cfg, names=None):
     names = list(CHECKS) if names is None else names
     basis, f = _build(cfg)
     rng = np.random.default_rng(cfg.seed)
-    branch = _once(lambda: _branch_for_checks(cfg, basis, f))
+    branch = _once(lambda: branchsolve._walk(basis, f, cfg.t_max, cfg.t_steps))
     report = {}
     for name in names:
         margin, passes = CHECKS[name]
@@ -236,15 +232,13 @@ def run_extremal(cfg):
     report["boundary_rate"] = checks.boundary_rate(basis)
     bound = report["decay_bound"]
     try:
-        br = _branch_for_checks(cfg, basis, f)
-        if br.fold_index is None:
-            raise branchsolve.BranchError("no fold detected; increase t_max", br)
+        br = branchsolve._walk(basis, f, cfg.t_max, cfg.t_steps)
+        fold = branchsolve.extremal_solution(br)
     except branchsolve.BranchError as exc:
         report["error"] = str(exc)
         br = exc.branch
     report["branch_stop"] = br.stop
     if report["error"] is None:
-        fold = branchsolve.extremal_solution(br)
         report.update(fold_t=fold.t, fold_lambda=fold.lam,
                       extremal_u0=branchsolve.amplitude(fold.u))
         rho_fit = np.geomspace(1e-3, 0.3, 60)
@@ -275,17 +269,8 @@ def _table_lines(n_values, s_values):
 
 def _load_config(args):
     text = Path(args.config).read_text() if args.config else ""
-    overrides = {
-        "n": args.n,
-        "s": args.s,
-        "f": args.f,
-        "modes": args.modes,
-        "t_max": args.t_max,
-        "t_steps": args.t_steps,
-        "out_dir": args.out_dir,
-        "seed": args.seed,
-    }
-    return config.parse_config(text, overrides=overrides)
+    fields = {field.name for field in dataclasses.fields(config.ExperimentConfig)}
+    return config.parse_config(text, {k: v for k, v in vars(args).items() if k in fields})
 
 
 def main(argv=None):
@@ -294,14 +279,10 @@ def main(argv=None):
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--n", type=int)
-        p.add_argument("--s", type=float)
+        # each names a config key, which parses it
         p.add_argument("--f", help="exp | power:p")
-        p.add_argument("--modes", type=int)
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--t-steps", dest="t_steps", type=int)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--seed", type=int)
+        for key in ("n", "s", "modes", "t-max", "t-steps", "out-dir", "seed"):
+            p.add_argument(f"--{key}")
 
     add_common(sub.add_parser("branch", help="continue the minimal branch"))
     pv = sub.add_parser("verify", help="run invariant checks")

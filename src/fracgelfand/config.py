@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ DEFAULT_TOLERANCES = {"bracket_tol": branchsolve.BRACKET_REL_TOL}
 class ExperimentConfig:
     n: int = 3
     s: float = 0.5
-    f_spec: str = "exp"
+    f: str = "exp"  # exp | power:p
     modes: int = 256
     t_max: float = 12.0
     t_steps: int = 48
@@ -47,10 +48,10 @@ class ExperimentConfig:
         # start lambda_fold (1 - 2 bracket_tol) must stay >= 0
         if not (0 < self.bracket_tol <= 0.5):
             raise ConfigError("bracket_tol must lie in (0, 0.5]")
-        self.nonlinearity()  # validates f_spec eagerly
+        self.nonlinearity()  # validates f eagerly
 
     def nonlinearity(self):
-        spec = self.f_spec
+        spec = self.f
         if spec == "exp":
             return branchsolve.exponential()
         if spec.startswith("power:"):
@@ -61,22 +62,23 @@ class ExperimentConfig:
         raise ConfigError(f"unknown f spec {spec!r} (use exp or power:p)")
 
 
-_FIELD_PARSERS = {
-    "n": int,
-    "s": float,
-    "f": str,
-    "modes": int,
-    "t_max": float,
-    "t_steps": int,
-    "bracket_tol": float,
-    "out_dir": Path,
-    "seed": int,
-}
-
-
 def parse_config(text, overrides=None):
-    """Parse flat `key=value` lines ('#' comments) into an ExperimentConfig."""
+    """Parse flat `key=value` lines ('#' comments) into an ExperimentConfig.
+
+    The keys are ExperimentConfig's fields, each parsed by its type; an
+    override that is not None beats the file.
+    """
+    parsers = typing.get_type_hints(ExperimentConfig)
     values = {}
+
+    def put(key, val, where):
+        if key not in parsers:
+            raise ConfigError(f"{where}unknown key {key!r}")
+        try:
+            values[key] = parsers[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}bad value for {key}: {val!r}") from exc
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,17 +86,8 @@ def parse_config(text, overrides=None):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _FIELD_PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _FIELD_PARSERS[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = _FIELD_PARSERS[key](str(val))
-    if "f" in values:
-        values["f_spec"] = values.pop("f")
+        put(key.strip(), val.strip(), f"line {lineno}: ")
+    for key, val in (overrides or {}).items():
+        if val is not None:
+            put(key, str(val), "")
     return ExperimentConfig(**values)

@@ -5,7 +5,9 @@ name; a renamed or re-signed function would only show when a traced
 benchmark run crashes.  This walks a tiny traced branch instead.  The
 tracer also rebuilds the nonlinearity positionally as
 `Nonlinearity(kind, eval, deriv)`, so traced Picard steps must take the
-same fold path as untraced ones.  The per-layer metrics also name public
+same fold path as untraced ones, and its counting f' must pass the fold
+solve's complex step through: a traced curvature equals the plain one bit for
+bit.  The per-layer metrics also name public
 functions, such as `specfun.bessel_j_zeros`; a traced basis build checks
 that the zero search still records its one span.
 """
@@ -97,3 +99,15 @@ def test_traced_picard_takes_the_fold_path(monkeypatch):
     assert fallback.fold_lambda is None and fallback.iterations == 200
     steps = metrics["branchsolve.picard_steps"][0]
     assert steps < 0.7 * fallback_metrics["branchsolve.picard_steps"][0]
+
+
+def test_counted_nonlinearity_keeps_the_complex_step():
+    # the tracer's f' only counts and forwards, so Im f'(u + ih) survives it
+    spans = _load_spans()
+    basis = spectral.build_basis(6, 0.5, 32)
+    for plain in (branchsolve.exponential(), branchsolve.power(2.5)):
+        term = branchsolve._NonlinearTerm(basis, plain)
+        u = np.linspace(-0.5, 8.0, term.w.size)
+        counted = branchsolve._NonlinearTerm(basis, spans.Tracer()._counted(plain))
+        assert np.all(term.curvature(u) > 0)
+        assert np.array_equal(counted.curvature(u), term.curvature(u))

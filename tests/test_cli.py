@@ -4,6 +4,7 @@ CLI tests run small (modes=16..24) problems so the whole file stays fast;
 determinism is asserted byte-for-byte on the persisted branch.csv.
 """
 
+import dataclasses
 import json
 import re
 import shlex
@@ -20,7 +21,7 @@ class TestConfigParsing:
         cfg = config.parse_config("")
         assert cfg.n == 3
         assert cfg.s == 0.5
-        assert cfg.f_spec == "exp"
+        assert cfg.f == "exp"
         assert cfg.modes == 256
         assert cfg.bracket_tol == config.DEFAULT_TOLERANCES["bracket_tol"]
         # the quadrature order is build_basis's 4K, not a setting
@@ -32,7 +33,7 @@ class TestConfigParsing:
     def test_simple_file(self):
         text = "n = 5\ns = 0.7  # fractional order\n\nmodes=32\nf=power:2\n"
         cfg = config.parse_config(text)
-        assert (cfg.n, cfg.s, cfg.modes, cfg.f_spec) == (5, 0.7, 32, "power:2")
+        assert (cfg.n, cfg.s, cfg.modes, cfg.f) == (5, 0.7, 32, "power:2")
         assert cfg.nonlinearity().eval(np.array(1.0)) == pytest.approx(4.0)
 
     def test_tolerance_key(self):
@@ -63,6 +64,19 @@ class TestConfigParsing:
     def test_bad_value_reports_key(self):
         with pytest.raises(config.ConfigError, match="bad value for modes"):
             config.parse_config("modes = many\n")
+
+    def test_bad_override_reports_key(self):
+        with pytest.raises(config.ConfigError, match="^line 1: bad value for modes: 'many'$"):
+            config.parse_config("modes = many\n")
+        with pytest.raises(config.ConfigError, match="^bad value for modes: 'many'$"):
+            config.parse_config("", {"modes": "many"})
+
+    def test_every_field_is_a_file_key(self):
+        defaults = config.ExperimentConfig()
+        for field in dataclasses.fields(config.ExperimentConfig):
+            value = getattr(defaults, field.name)
+            cfg = config.parse_config(f"{field.name} = {value}\n")
+            assert getattr(cfg, field.name) == value
 
     @pytest.mark.parametrize("value", ["0", "-1", "0.75", "nan"])
     def test_bracket_tol_out_of_range_rejected(self, value):
@@ -182,6 +196,33 @@ class TestCli:
         assert summary["branch_stop"] == "Newton did not converge at t=2.5 (injected)"
         # the four points before t = 2.5 and the refined fold
         assert len((tmp_path / "branch.csv").read_text().splitlines()) == 1 + 5
+
+    def test_branch_and_extremal_walk_alike(self, tmp_path, capsys):
+        printed = {}
+        for command in ("branch", "extremal"):
+            assert cli.main([command, *ARGS, "--out-dir", str(tmp_path)]) == 0
+            printed[command] = json.loads(capsys.readouterr().out)
+        for key in ("fold_t", "extremal_u0"):
+            assert printed["branch"][key] == printed["extremal"][key]
+        rows = (tmp_path / "branch.csv").read_text().splitlines()[1:]
+        assert printed["extremal"]["fold_lambda"] == max(float(r.split(",")[1]) for r in rows)
+
+    def test_common_flags_name_fields(self, capsys):
+        fields = {field.name for field in dataclasses.fields(config.ExperimentConfig)}
+        for command in ("branch", "extremal"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            flags = set(re.findall(r"(?<![\w-])--([a-z-]+)", capsys.readouterr().out))
+            # bracket_tol is a file key only
+            assert {f.replace("-", "_") for f in flags} - {"help", "config"} == (
+                fields - {"bracket_tol"}
+            )
+
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["branch", "--modes", "many", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "bad value for modes: 'many'" in capsys.readouterr().err
 
     def test_table_output(self, capsys):
         rc = cli.main(["table", "--n-values", "3,10", "--s-values", "0.5,1.0"])
