@@ -12,6 +12,7 @@ what realizes the fractional Laplacian as a boundary operator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -276,60 +277,186 @@ def poisson_constant(n, s):
 
 
 # sample radii per block of basis values in riesz_potential_radial: keeps the
-# (K, block) table and its jv temporaries to a few MB at every x
+# (K, block) table and its Bessel temporaries to a few MB at every x
 _RIESZ_BLOCK = 2048
 
+# The radial rule of _riesz_samples: 16-point Gauss panels, each no wider
+# than the smallest of
+# - _RIESZ_PANEL / K, which resolves h's boundary layer at r = 1, whose
+#   width scales as 1/K;
+# - _RIESZ_AXIS_PANEL / K within _RIESZ_AXIS / K of the axis, where a
+#   truncated expansion rings (phi_k(0) grows like k^((n-1)/2)) and |h|
+#   has a kink at each sign change: at (6, 1/2 + 1e-6, 64), x = 0.02,
+#   the rule is 2.8e-3 off with 4/K panels there and 1.6e-5 with 1/(8K);
+# - (1/_RIESZ_GRADING - 1) times its distance from x, so that toward
+#   r = x the panels shrink geometrically, each _RIESZ_GRADING times as
+#   wide as the one outside it.
+_RIESZ_PANEL = 4.0
+_RIESZ_AXIS = 8.0
+_RIESZ_AXIS_PANEL = 0.125
+_RIESZ_GRADING = 0.2
 
-def _riesz_samples(n, s, x):
-    """Sample radii r_i in [0, 1] and weights w_i with R(h)(x) = sum_i w_i |h(r_i)|.
+# 1 - w at or below which _angular_kernel sums its connection series; above
+# it `special.hyp2f1` is within 2.6e-15 of 40-digit values (n from 2 to 40,
+# s from 0.05 to 0.99)
+_NEAR_ONE = 0.1
 
-    The potential is integrated in spherical shells centered at x (distance
-    t = |x~ - x|); the t^(2s-1) weight is absorbed by the substitution
-    t = tau^(1/(2s)) on each piece between the tangency radii, and each shell
-    integral over the polar angle theta clips at the unit-ball boundary.
-    None of this depends on h.
+
+def _lgamma_odd(x, d):
+    """(ln Gamma(x + d) - ln Gamma(x - d)) / d for an array x > |d| and a
+    scalar d; 2 psi(x) at d = 0.
+
+    Where |d| <= x/25 it is the odd Taylor series
+    2 sum_j psi^(2j)(x) d^(2j) / (2j+1)! through psi^(10), whose next term
+    is below 2e-17; elsewhere the difference of `gammaln`, whose rounding
+    there is about 2.8e-15 |ln Gamma(x)| / x.
     """
-    # integral = int_0^{1+x} t^(2s-1) * shell(t) dt, split at the tangency radii
-    breaks = sorted({0.0, max(1.0 - x, 0.0), 1.0 + x})
-    ts, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a < 1e-14:
-            continue
-        # tau = t^(2s) on each piece removes the endpoint weight at t=0
-        tau, wtau = spectral._gauss_rule(80, a ** (2.0 * s), b ** (2.0 * s))
-        ts.append(tau ** (1.0 / (2.0 * s)))
-        ws.append(wtau / (2.0 * s))
-    t, w = np.concatenate(ts), np.concatenate(ws)
-    if x == 0.0:
-        inside = t < 1.0
-        return t[inside], spectral.sphere_area(n) * w[inside]
+    x = np.asarray(x, dtype=float)
+    out = sum(2.0 * special.polygamma(2 * j, x) * d ** (2 * j) / math.factorial(2 * j + 1)
+              for j in range(6))
+    far = abs(d) > x / 25.0
+    out[far] = (special.gammaln(x[far] + d) - special.gammaln(x[far] - d)) / d
+    return out
 
-    # |x e + t omega|^2 = x^2 + t^2 + 2 x t cos(theta); the shell lies in B_1
-    # for cos(theta) <= mu_star (Gauss nodes are interior, so t > 0)
-    mu_star = (1.0 - x * x - t * t) / (2.0 * x * t)
-    keep = mu_star > -1.0  # the other shells lie entirely outside B_1
-    t, w = t[keep, None], w[keep, None]
-    theta_lo = np.arccos(np.clip(mu_star[keep], -1.0, 1.0))
-    theta, wth = spectral._gauss_rule(48, theta_lo, math.pi)
-    r = np.sqrt(np.maximum(x * x + t * t + 2.0 * x * t * np.cos(theta), 0.0))
-    area_factor = 2.0 if n == 2 else spectral.sphere_area(n - 1)  # |S^0| = 2
-    weights = w * area_factor * wth * np.sin(theta) ** (n - 2)
-    return np.minimum(r, 1.0).ravel(), weights.ravel()
+
+@functools.cache
+def _connection_series(n, s):
+    """(g, d), the terms of _angular_kernel's series in y = 1 - w.
+
+    With eps = 2s - 1, a = (n-2s)/2, b = 1-s and c = n/2, c - a - b = eps.
+    A&S 15.3.6 writes 2F1(a, b; c; w) as two series, in y^k and y^(k+eps),
+    whose k-th coefficients are Gamma(eps) P_k(eps) and Gamma(-eps) P_k(-eps)
+    for one function P_k.  Near s = 1/2 each is about 1/eps and they cancel.
+    Summed term by term, with g_k = Gamma(1-eps) P_k(-eps) and
+    eps d_k = log(Gamma(1+eps) P_k(eps) / g_k), they are
+
+        g_k y^(k+eps) expm1(eps (d_k - log y)) / eps,
+
+    which at eps = 0 is A&S 15.3.10, g_k y^k (d_k - log y) with
+    d_k = 2 psi(1+k) - psi(a+k) - psi(b+k).  d_k is a sum of _lgamma_odd
+    terms, so nothing cancels as eps -> 0.  g carries the factor
+    B(1/2, (n-1)/2) Gamma(c) = sqrt(pi) Gamma((n-1)/2); the series ends
+    where its terms at y = _NEAR_ONE fall below 1e-17 of the largest.
+    Cached per (n, s); the arrays are shared, so they are read-only.
+    """
+    eps = 2.0 * s - 1.0
+    al, be = (n - 1.0) / 2.0, 0.5   # a = al - eps/2, b = be - eps/2
+    k = np.arange(200.0)
+    lg = special.gammaln
+    log_g = (0.5 * math.log(math.pi) + lg(al) - lg(al + eps / 2.0) - lg(al - eps / 2.0)
+             - lg(be + eps / 2.0) - lg(be - eps / 2.0) + lg(1.0 - eps) + lg(1.0 + eps)
+             + lg(al + eps / 2.0 + k) + lg(be + eps / 2.0 + k) - lg(1.0 + eps + k)
+             - lg(1.0 + k))
+    d = (_lgamma_odd(1.0 + k, eps) - 0.5 * _lgamma_odd(al + k, eps / 2.0)
+         - 0.5 * _lgamma_odd(be + k, eps / 2.0))
+    size = np.exp(log_g + k * math.log(_NEAR_ONE)) * (1.0 + np.abs(d))
+    stop = np.flatnonzero(size > 1e-17 * size.max())[-1] + 1
+    g, d = np.exp(log_g[:stop]), d[:stop].copy()
+    g.flags.writeable = d.flags.writeable = False
+    return g, d
+
+
+def _angular_kernel(n, s, big, delta):
+    """T = int_0^pi sin^(n-2) t (x^2 + r^2 - 2 x r cos t)^(s - n/2) dt; times
+    |S^(n-2)| it is the integral of |x - r omega|^(2s-n) over unit vectors omega.
+
+    big = max(x, r) and delta = |x - r| > 0 are arrays.  In closed form
+    T = B(1/2, (n-1)/2) big^(2s-n) 2F1((n-2s)/2, 1-s; n/2; w) with
+    w = (min(x, r) / big)^2 (Gradshteyn & Ryzhik 3.665), and
+    y = 1 - w = delta (2 big - delta) / big^2 carries no cancellation.
+    Where y > _NEAR_ONE, 2F1 is `special.hyp2f1`; nearer r = x it is the
+    connection series of _connection_series, exact also at and near
+    s = 1/2.  At n = 3, T = ((x + r)^eps - delta^eps) / (eps x r) with
+    eps = 2s - 1, and (1 / (x r)) log((x + r) / delta) at s = 1/2.
+    """
+    big = np.asarray(big, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    y = delta * (2.0 * big - delta) / big ** 2
+    F = np.empty_like(y)
+    far = y > _NEAR_ONE
+    F[far] = special.beta(0.5, (n - 1.0) / 2.0) * special.hyp2f1(
+        (n - 2.0 * s) / 2.0, 1.0 - s, n / 2.0, 1.0 - y[far])
+    g, d = _connection_series(n, s)
+    near = y[~far, None]
+    eps = 2.0 * s - 1.0
+    lag = d - np.log(near)
+    if eps != 0.0:
+        lag = np.expm1(eps * lag) / eps
+    F[~far] = (g * near ** (np.arange(g.size) + eps) * lag).sum(axis=1)
+    return big ** (2.0 * s - n) * F
+
+
+def _distance_edges(x, side, near, far, K, levels):
+    """Panel edges in the distance d = |r - x| on one side of x (side = -1
+    toward the axis, +1 away from it), from near to far, under the widths
+    set out at _RIESZ_PANEL.  From near = 0 the first panel is
+    _RIESZ_GRADING^levels times the width allowed at x."""
+    axis = _RIESZ_AXIS / K
+
+    def allowed(d):
+        # the nearer-to-axis end of a panel starting at distance d decides
+        lowest = x + d if side > 0 else x - d - _RIESZ_PANEL / K
+        return (_RIESZ_AXIS_PANEL if lowest < axis else _RIESZ_PANEL) / K
+
+    edges = [near] if near > 0.0 else [0.0, _RIESZ_GRADING ** levels * allowed(0.0)]
+    while edges[-1] < far:
+        d = edges[-1]
+        edges.append(d + min(allowed(d), (1.0 / _RIESZ_GRADING - 1.0) * d))
+    edges[-1] = far
+    return np.array(edges)
+
+
+def _riesz_samples(n, s, K, x):
+    """Sample radii r_i in [0, 1] and weights w_i with R(h)(x) = sum_i w_i |h(r_i)|
+    for every h on a K-mode basis.
+
+    At x = 0, R(h)(0) = |S^(n-1)| int_0^1 |h(r)| r^(2s-1) dr, and the
+    substitution r = tau^(1/(2s)) removes the weight under an 80-point
+    rule.  Elsewhere the angular integral is closed-form (_angular_kernel):
+
+        R(h)(x) = |S^(n-2)| int_0^1 |h(r)| r^(n-1) T(x, r) dr,
+
+    with |S^0| = 2 at n = 2, under the panel rule set out at _RIESZ_PANEL,
+    built on each side of x in the distance from x; T takes those
+    distances, not differences of rounded radii.  The innermost panel at
+    r = x is _RIESZ_GRADING^levels times the width allowed there, which
+    puts its share of T's singularity, of order delta^min(2s, 1), near
+    1e-16.
+    """
+    if not 0.0 < s < 1.0:
+        raise ValueError("need s in (0, 1)")
+    if x == 0.0:
+        tau, wtau = spectral._gauss_rule(80, 0.0, 1.0)
+        return tau ** (1.0 / (2.0 * s)), spectral.sphere_area(n) * (wtau / (2.0 * s))
+    # at most 300 levels, so that the innermost panel stays a normal number
+    levels = min(math.ceil(math.log(1e-16) / (min(2.0 * s, 1.0) * math.log(_RIESZ_GRADING))), 300)
+    r, delta, w = [], [], []
+    for side, near, far in ((-1.0, max(x - 1.0, 0.0), x), (1.0, 0.0, 1.0 - x)):
+        if far > near:
+            edges = _distance_edges(x, side, near, far, K, levels)
+            d, wd = map(np.ravel, spectral._gauss_rule(16, edges[:-1], edges[1:]))
+            r.append(x + side * d)
+            delta.append(d)
+            w.append(wd)
+    r, delta, w = map(np.concatenate, (r, delta, w))
+    area = 2.0 if n == 2 else spectral.sphere_area(n - 1)  # |S^0| = 2
+    return r, area * w * r ** (n - 1.0) * _angular_kernel(n, s, np.maximum(r, x), delta)
 
 
 def riesz_potential_radial(h, x_mag):
     """int_{B_1} |h(x~)| / |x - x~|^(n-2s) dx~ at |x| = x_mag.
 
     h is one RadialCoeffs, giving a float, or a sequence of them on one
-    basis, giving an array with one potential per function.  The quadrature
-    is a fixed set of sample radii and weights (see _riesz_samples), so all
-    functions share one table of basis values, built in blocks of
-    _RIESZ_BLOCK radii.
+    basis, giving an array with one potential per function.  For x_mag > 0
+    it is one radial integral of |h| against the closed-form sphere mean of
+    the kernel (_angular_kernel).  Its sample radii and weights depend on
+    (n, s, K, x_mag) only (see _riesz_samples), so all functions share one
+    table of basis values, built in blocks of _RIESZ_BLOCK radii.
     """
     hs, single = _traces(h)
     basis = hs[0].basis
     C = np.stack([g.c for g in hs])
-    r, w = _riesz_samples(basis.n, basis.s, float(x_mag))
+    r, w = _riesz_samples(basis.n, basis.s, basis.K, float(x_mag))
     total = np.zeros(len(hs))
     for lo in range(0, r.size, _RIESZ_BLOCK):
         block = slice(lo, lo + _RIESZ_BLOCK)

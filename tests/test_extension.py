@@ -233,6 +233,49 @@ class TestPoissonConstant:
         )
 
 
+class TestAngularKernel:
+    """extension._angular_kernel, T = int_0^pi sin^(n-2) t (x^2 + r^2 - 2xr cos t)^(s-n/2) dt."""
+
+    X = 0.5
+
+    @classmethod
+    def _kernel(cls, n, s, r, delta):
+        return extension._angular_kernel(n, s, np.array([max(cls.X, r)]), np.array([delta]))[0]
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.5 + 1e-6, 0.5 - 1e-9, 0.51])
+    @pytest.mark.parametrize("delta", [1e-12, 1e-6, 1e-2, 0.3])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_n3_elementary_form(self, s, delta, side):
+        # n = 3: T = ((x + r)^eps - delta^eps) / (eps x r), eps = 2s - 1, written
+        # so that it stays exact as eps -> 0; the log kernel at s = 1/2
+        x = self.X
+        r = x + side * delta
+        eps = 2.0 * s - 1.0
+        log_ratio = math.log((x + r) / delta)
+        if eps == 0.0:
+            ref = log_ratio / (x * r)
+        else:
+            ref = delta ** eps * math.expm1(eps * log_ratio) / (eps * x * r)
+        assert self._kernel(3, s, r, delta) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 20])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 0.5 + 1e-6])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.3])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_against_theta_quadrature(self, n, s, delta, side):
+        # the squared distance as delta^2 + 4 x r sin^2(t/2) keeps its digits near
+        # t = 0, where the integrand peaks over a width of about delta / sqrt(x r)
+        x = self.X
+        r = x + side * delta
+        peak = delta / math.sqrt(x * r)
+        ref, _ = integrate.quad(
+            lambda t: math.sin(t) ** (n - 2)
+            * (delta ** 2 + 4.0 * x * r * math.sin(t / 2.0) ** 2) ** (s - n / 2.0),
+            0.0, math.pi, points=[peak, 10.0 * peak], epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert self._kernel(n, s, r, delta) == pytest.approx(ref, rel=1e-12)
+
+
 class TestRieszPotential:
     def test_zero_rhs(self, basis3):
         zero = spectral.RadialCoeffs(basis3, np.zeros(basis3.K))
@@ -244,6 +287,12 @@ class TestRieszPotential:
         one = extension.riesz_potential_radial(spectral.RadialCoeffs(basis3, c), 0.4)
         two = extension.riesz_potential_radial(spectral.RadialCoeffs(basis3, 2.0 * c), 0.4)
         assert two == pytest.approx(2.0 * one, rel=1e-10)
+
+    def test_needs_fractional_order(self):
+        # the kernel's connection series has b = 1 - s = 0 at s = 1
+        b = spectral.build_basis(3, 1.0, 8)
+        with pytest.raises(ValueError, match="s in"):
+            extension.riesz_potential_radial(spectral.unit(b, 1), 0.4)
 
     def test_single_function_returns_float(self, basis3):
         h = spectral.RadialCoeffs(basis3, np.ones(8))
@@ -287,3 +336,54 @@ class TestRieszPotential:
         assert extension.riesz_potential_radial(h, 0.0) == pytest.approx(
             4.0 * math.pi * ref, rel=2e-4
         )
+
+    @staticmethod
+    def _log_kernel_oracle(h, x):
+        # n = 3, s = 1/2: (2 pi / x) int_0^1 r |h(r)| log((r + x) / |r - x|) dr
+        # for the projected h itself, split at the log singularity
+        parts = [
+            integrate.quad(
+                lambda r: r * abs(spectral.evaluate(h, r)) * math.log((r + x) / abs(r - x)),
+                a, b, epsabs=0.0, epsrel=1e-13, limit=200,
+            )[0]
+            for a, b in ((0.0, x), (x, 1.0))
+        ]
+        return 2.0 * math.pi / x * sum(parts)
+
+    @pytest.mark.parametrize("which", ["projected_one", "quartic"])
+    def test_projected_function_against_log_kernel_oracle(self, which):
+        b = spectral.build_basis(3, 0.5, 48)
+        if which == "projected_one":
+            h = spectral.RadialCoeffs(b, b.phi_table @ b.quad_weights)
+        else:
+            h = spectral.analyze(b, lambda r: (1.0 - r ** 2) ** 2)
+        for x in (0.3, 0.6, 0.9):
+            assert extension.riesz_potential_radial(h, x) == pytest.approx(
+                self._log_kernel_oracle(h, x), rel=1e-12
+            )
+
+    @staticmethod
+    def _shell_rule(n, s, x):
+        """Composite shell rule about x, |x| > 1: shells t in [x - 1, x + 1]
+        (t = tau^(1/(2s)) absorbs t^(2s-1)), each clipped to the polar angles
+        inside B_1; 12 Gauss panels of 16 points in tau and in the angle."""
+        panels, order = 12, 16
+        edges = np.linspace((x - 1.0) ** (2.0 * s), (x + 1.0) ** (2.0 * s), panels + 1)
+        tau, wtau = map(np.ravel, spectral._gauss_rule(order, edges[:-1], edges[1:]))
+        t = tau ** (1.0 / (2.0 * s))
+        cos_lo = np.clip((1.0 - x * x - t * t) / (2.0 * x * t), -1.0, 1.0)
+        theta_edges = np.linspace(np.arccos(cos_lo), math.pi, panels + 1, axis=1)
+        theta, wth = spectral._gauss_rule(order, theta_edges[:, :-1], theta_edges[:, 1:])
+        theta, wth = theta.reshape(t.size, -1), wth.reshape(t.size, -1)
+        r = np.sqrt(x * x + t[:, None] ** 2 + 2.0 * x * t[:, None] * np.cos(theta))
+        w = (wtau / (2.0 * s))[:, None] * wth * np.sin(theta) ** (n - 2)
+        return np.minimum(r, 1.0).ravel(), spectral.sphere_area(n - 1) * w.ravel()
+
+    def test_outside_the_ball_against_shell_rule(self):
+        # no caller asks for |x| > 1, where the radial rule has no singularity;
+        # h keeps one sign on [0, 1), so |h| has no kink for either rule
+        b = spectral.build_basis(3, 0.3, 16)
+        h = spectral.analyze(b, lambda r: (1.0 - r ** 2) * (2.0 + np.cos(3.0 * r)))
+        r, w = self._shell_rule(3, 0.3, 1.5)
+        ref = float(np.abs(spectral.evaluate(h, r)) @ w)
+        assert extension.riesz_potential_radial(h, 1.5) == pytest.approx(ref, rel=1e-12)
