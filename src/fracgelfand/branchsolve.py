@@ -13,8 +13,13 @@ one Newton kernel (`_bordered_newton`) with three border equations: the
 amplitude, lambda pinned, and the fold function.  All three build their J
 block from the nonlinear term's F; only continuation leaves out the sigma
 factor of the exact Jacobian F diag(sigma) (`_NonlinearTerm.jacobian`).
-Continuation and the fold solve stop at NEWTON_TOL, the certificate at the
-residual's rounding level (CERTIFY_FLOOR).
+Continuation and the certificate take chord steps, the fold solve full
+steps.  Continuation and the fold solve stop at NEWTON_TOL, the certificate
+at the residual's rounding level (CERTIFY_FLOOR); the certificate tests
+nu1 > 0 by a Cholesky factorization (`_is_stable`), not an eigenvalue.
+Every Picard step and every Newton check reads the basis table once: the
+node values and the projection come from one pass over column panels
+(`_NonlinearTerm.project`).
 """
 
 from __future__ import annotations
@@ -51,6 +56,14 @@ CERTIFY_FLOOR = 4.0
 # default relative width of the lambda* bracket, and of the gap allowed
 # between its two routes; `config` reads its bracket_tol default from here
 BRACKET_REL_TOL = 1e-3
+# bytes of Phi per column panel of `_NonlinearTerm.project`: the synthesis
+# reads a panel and the projection reads it again, so the panel should still
+# sit in a core's L2 cache when the projection comes to it.  One Picard step
+# at n = 20 near lambda-hat, one BLAS thread, Xeon with 2 MiB L2 per core:
+# 256 KiB / 512 KiB / 1 MiB / 2 MiB / whole-table panels take 0.59 / 0.53 /
+# 0.50 / 0.55 / 0.58 ms at K = 512 and 2.15 / 1.92 / 1.75 / 1.88 / 2.09 ms
+# at K = 1024
+_PANEL_BYTES = 2 ** 20
 
 
 class DivergenceSignal(Exception):
@@ -59,8 +72,9 @@ class DivergenceSignal(Exception):
     Three outcomes: the iterate blew up at iteration `iterations`
     (`exhausted` False, `fold_lambda` None); the iteration ran out of its
     `iterations` steps without a Newton certificate (`exhausted` True); or
-    lambda lies above the fold `fold_lambda` that the fold solve found from
-    the iterate after `iterations` = CERTIFY_AFTER steps (`exhausted` False).
+    lambda lies above the fold `fold_lambda`, which the fold solve found
+    from the iterate after `iterations` = CERTIFY_AFTER steps or the caller
+    handed in (`exhausted` False).
     """
 
     def __init__(self, lam, iterations, amplitude, exhausted, fold_lambda=None):
@@ -185,21 +199,25 @@ class _NonlinearTerm:
         self.sigma = spectral._filter_factors(basis.K)
         self.mu_inv_s = basis.mu ** (-basis.s)
         self.cut_share = basis.phi_table[:, :j0] @ (w[:j0] * f.f0)
+        self.panel = max(1, _PANEL_BYTES // (basis.K * self.phi.itemsize))  # nodes per panel
 
-    def _nonlinear_nodes(self, c):
-        """u~ on the kept nodes: the filtered synthesis of c."""
-        return (c * self.sigma) @ self.phi
+    def project(self, c):
+        """(u~, P[f(u~)]): the kept-node values of c and the projection, in one pass.
 
-    def __call__(self, u_nodes):
-        """P[f(u~)] from the kept-node values of `_nonlinear_nodes`."""
+        Phi_kept is column-major, so a run of nodes is one contiguous
+        panel of about _PANEL_BYTES.  For each panel the synthesis u~ =
+        (sigma c) Phi reads it and the projection adds Phi (W f(u~)) while
+        it is still in cache, so a call reads Phi_kept once, not twice.
+        """
+        sc = c * self.sigma
+        nodes = np.empty(self.w.size)
+        proj = self.cut_share.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.phi @ (self.w * self.f.eval(u_nodes)) + self.cut_share
-
-    def picard(self, lam, u_nodes):
-        """One monotone step: c = lambda mu^(-s) P[f(u~)] and its node values."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = lam * self.mu_inv_s * self(u_nodes)
-            return c, self._nonlinear_nodes(c)
+            for lo in range(0, nodes.size, self.panel):
+                panel = self.phi[:, lo:lo + self.panel]
+                u = np.matmul(sc, panel, out=nodes[lo:lo + self.panel])
+                proj += panel @ (self.w[lo:lo + self.panel] * self.f.eval(u))
+        return nodes, proj
 
     def derivative(self, u_nodes):
         """F = Phi_kept W_kept f'(u~) Phi_kept^T at the kept-node values u_nodes."""
@@ -226,8 +244,7 @@ class _NonlinearTerm:
 
 def residual(u, lam, f):
     """Coefficient-space residual (-Delta)^s u - lambda * P[f(u)]."""
-    term = _NonlinearTerm(u.basis, f)
-    proj = term(term._nonlinear_nodes(u.c))
+    _, proj = _NonlinearTerm(u.basis, f).project(u.c)
     return spectral.RadialCoeffs(u.basis, spectral.frac_laplacian(u).c - lam * proj)
 
 
@@ -247,65 +264,91 @@ def _gram(phi, g):
     return b_pos @ b_pos.T - b_neg @ b_neg.T
 
 
-def stability_eigenvalue(u, lam, f):
-    """Smallest eigenvalue of diag(mu^s) - lambda sigma^(1/2) F sigma^(1/2).
+def _stability_form(basis, term, lam, nodes):
+    """diag(mu^s) - lambda sigma^(1/2) F sigma^(1/2) at the kept-node values nodes.
 
     F is the nonlinear term's derivative (`_NonlinearTerm.derivative`).  The
     matrix is similar to diag(mu^s) - lambda F diag(sigma), the Jacobian of
-    `residual`, and symmetric, so `eigh` gives that Jacobian's bottom
-    eigenvalue.
+    `residual`, and symmetric.
     """
-    basis = u.basis
-    term = _NonlinearTerm(basis, f)
     root = np.sqrt(term.sigma)
-    F = term.derivative(term._nonlinear_nodes(u.c))
-    A = np.diag(basis.mu ** basis.s) - lam * (root[:, None] * F * root)
-    return float(linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0])
+    return np.diag(basis.mu ** basis.s) - lam * (root[:, None] * term.derivative(nodes) * root)
 
 
-def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
+def stability_eigenvalue(u, lam, f):
+    """Smallest eigenvalue nu1 of the Jacobian of `residual`, by `eigh` on `_stability_form`."""
+    term = _NonlinearTerm(u.basis, f)
+    A = _stability_form(u.basis, term, lam, term.project(u.c)[0])
+    return float(linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 0), overwrite_a=True)[0])
+
+
+def _is_stable(basis, term, lam, nodes):
+    """Whether nu1 > 0 at the kept-node values nodes, without an eigenvalue.
+
+    The symmetric `_stability_form` has a Cholesky factor exactly when it is
+    positive definite, that is when nu1 > 0 (up to rounding).  At n = 20,
+    one BLAS thread, the factorization takes 3.7 ms against 12.6 ms for the
+    bottom eigenvalue by `eigh` at K = 512, and 7.3 against 100 ms at
+    K = 1024.
+    """
+    try:
+        linalg.cholesky(_stability_form(basis, term, lam, nodes), overwrite_a=True)
+    except linalg.LinAlgError:
+        return False
+    return True
+
+
+def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL, *, fold=None):
     """Minimal solution by the sub/supersolution iteration from u = 0.
 
     u^{m+1} = lambda * (-Delta)^{-s} P[f(u^m)]; the iterates increase
     pointwise and converge exactly when lambda is below the extremal
-    parameter.  One f evaluation per step, on the kept nodes
-    (`_NonlinearTerm.picard`).  The step converges when it moves the nodes
-    by less than tol.
+    parameter.  One pass over the kept nodes per step
+    (`_NonlinearTerm.project`) gives the iterate's node values and the
+    projection that makes the next iterate.  The step converges when it
+    moves the nodes by less than tol.
 
     Near the extremal parameter the contraction ratio tends to 1, so after
     CERTIFY_AFTER steps without a decision the iterate is handed once to
     `_newton_certificate`.  If that fails, `_fold_solve` looks for the fold
     from the same iterate; when lambda lies more than FOLD_MARGIN (relative)
     above it, there is no minimal solution and the iteration stops.
-    Otherwise Picard goes on from the same iterate.  Raises DivergenceSignal
-    with one of three outcomes: the iterate blew up, lambda lies above the
-    fold (`fold_lambda` set, after CERTIFY_AFTER steps), or the iteration
-    ran out of max_iter steps without a certificate (`exhausted`).
+    Otherwise Picard goes on from the same iterate.  `fold` is the lambda of
+    a fold already solved for on this basis and f (`picard_bisect` passes
+    the first one it finds); it stands in for the fold solve, which would
+    find it again.  Raises DivergenceSignal with one of three outcomes: the
+    iterate blew up, lambda lies above the fold (`fold_lambda` set, after
+    CERTIFY_AFTER steps), or the iteration ran out of max_iter steps
+    without a certificate (`exhausted`).
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     term = _NonlinearTerm(basis, f)
-    u_nodes = np.zeros_like(term.w)
+    scale = lam * term.mu_inv_s
+    u_nodes, proj = term.project(np.zeros(basis.K))
     for m in range(1, max_iter + 1):
-        c_new, new_nodes = term.picard(lam, u_nodes)
+        c = scale * proj
+        new_nodes, proj = term.project(c)
         amp = float(np.max(np.abs(new_nodes)))
         if not np.isfinite(amp) or amp > BLOWUP_THRESHOLD:
             raise DivergenceSignal(lam, m, amp, exhausted=False)
         diff = float(np.max(np.abs(new_nodes - u_nodes)))
         if diff < tol:
-            return spectral.RadialCoeffs(basis, c_new)
+            return spectral.RadialCoeffs(basis, c)
         u_nodes = new_nodes
         if m == CERTIFY_AFTER:
-            u = _newton_certificate(basis, term, lam, c_new, tol)
+            u = _newton_certificate(basis, term, lam, c, tol)
             if u is not None:
                 return u
-            fold = _fold_solve(basis, term, lam, c_new)
-            if fold is not None and lam > fold.lam * (1.0 + FOLD_MARGIN):
-                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold.lam)
+            if fold is None:
+                point = _fold_solve(basis, term, lam, c)
+                fold = None if point is None else point.lam
+            if fold is not None and lam > fold * (1.0 + FOLD_MARGIN):
+                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold)
     raise DivergenceSignal(lam, max_iter, float(np.max(np.abs(u_nodes))), exhausted=True)
 
 
-def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
+def _bordered_newton(basis, term, c, lam, block, border, tol, chord, stall):
     """Newton in (c, lambda) on {mu^s c - lambda P[f(u~)] = 0, r = 0}.
 
     A check takes the residual res, the border equation (r, row, corner) =
@@ -315,17 +358,25 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
     G = block(nodes) is the term's F diag(sigma), or in continuation F
     alone, which differs from it only by the sigma factor.  `assemble()`
     writes J there and returns (buffer, G), for a border that solves with J
-    itself.  With `chord` the LU is kept while each norm is at most
-    CHORD_RATIO times the previous one, or at most r_f times it with r_f < 1,
-    where r_f is that ratio for the LU's fresh step, the first step taken
-    with it: a fresh LU that contracts no faster than the kept one is not
-    worth its F build and factorization.  A fresh step that did not reduce
-    the norm (r_f >= 1) refactors at once.  With the exact Jacobian r_f is
-    at most 1/2 near the solution and the rule is Kelley's.  Without
-    `chord` every step refactors, and the first check after the first whose
-    norm is not below the least so far stalls the solve.  tol is NEWTON_TOL
-    in continuation and the fold solve, and the residual's rounding level in
-    the certificate.  Returns (outcome, best, norm):
+    itself.  A check's node values and projection are one pass of
+    `_NonlinearTerm.project`.  Three modes:
+
+    - chord (`chord`, continuation): the LU is kept while each norm is at
+      most CHORD_RATIO times the previous one, or at most r_f times it with
+      r_f < 1, where r_f is that ratio for the LU's fresh step, the first
+      step taken with it: a fresh LU that contracts no faster than the kept
+      one is not worth its F build and factorization.  A fresh step that did
+      not reduce the norm (r_f >= 1) refactors at once.  With the exact
+      Jacobian r_f is at most 1/2 near the solution and the rule is Kelley's.
+    - chord that stalls (`chord` and `stall`, the certificate): the same
+      steps, but a fresh step whose norm is not below the least so far
+      stalls the solve; a kept LU's step that does not reduce it refactors.
+    - full steps (`stall` alone, the fold solve): every step refactors, so
+      every step is fresh, and the first check after the first whose norm
+      is not below the least so far stalls the solve.
+
+    tol is NEWTON_TOL in continuation and the fold solve, and the residual's
+    rounding level in the certificate.  Returns (outcome, best, norm):
     "converged" (norm <= tol), "stalled", "non-finite" (the norm),
     "singular" (a zero pivot) or "budget" (NEWTON_MAX_STEPS checks); best is
     (c, lam, res) of the least norm (None before a finite one), norm the last.
@@ -349,8 +400,7 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
         # a singular matrix shows as a zero pivot, in a border's own solve as a non-finite r
         warnings.simplefilter("ignore", linalg.LinAlgWarning)
         for m in range(1, NEWTON_MAX_STEPS + 1):
-            nodes = term._nonlinear_nodes(c)
-            proj = term(nodes)
+            nodes, proj = term.project(c)
             res = mus * c - lam * proj
             r, row, corner = border(c, lam, nodes, assemble)
             norm = math.sqrt(float(res @ res) + r * r)
@@ -358,7 +408,7 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
                 return "non-finite", best, norm
             if norm < best_norm:
                 best, best_norm = (c, lam, res), norm
-            elif not chord:
+            elif stall and lu is not None and fresh_ratio is None:  # after a fresh step
                 return "stalled", best, norm
             if norm <= tol:
                 return "converged", best, norm
@@ -384,11 +434,12 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord):
 def _newton_certificate(basis, term, lam, c, tol):
     """The minimal solution by fixed-lambda Newton from the Picard iterate c, or None.
 
-    The kernel takes full steps with lambda pinned and stops at the
-    residual's rounding level, CERTIFY_FLOOR eps |mu^s c| for the Picard
-    iterate c.  Its best point is accepted only if one Picard step from it
-    moves the nodes by less than tol, the monotone iteration's own
-    test, and nu1 > 0 there: for convex f the stable solution is the minimal
+    The kernel takes chord steps with lambda pinned, stalls when a fresh
+    LU's step does not lower the least norm, and stops at the residual's
+    rounding level, CERTIFY_FLOOR eps |mu^s c| for the Picard iterate c.
+    Its best point is accepted only if one Picard step from it moves the
+    nodes by less than tol, the monotone iteration's own test, and nu1 > 0
+    there (`_is_stable`): for convex f the stable solution is the minimal
     one (Crandall & Rabinowitz, ARMA 58, 1975).  The coefficient residual is
     no test: at n = 20, Picard iterates 2.7e-3 apart at the nodes have
     residual 5e-9.
@@ -396,15 +447,17 @@ def _newton_certificate(basis, term, lam, c, tol):
     pin = np.zeros(basis.K)
     floor = CERTIFY_FLOOR * np.finfo(float).eps * float(np.linalg.norm(basis.mu ** basis.s * c))
     _, best, _ = _bordered_newton(basis, term, c, lam, term.jacobian,
-                                  lambda *_: (0.0, pin, 1.0), floor, chord=False)
+                                  lambda *_: (0.0, pin, 1.0), floor, chord=True, stall=True)
     if best is None:
         return None
-    nodes = term._nonlinear_nodes(best[0])
-    c_new, new_nodes = term.picard(lam, nodes)
+    nodes, proj = term.project(best[0])
+    c_new = lam * term.mu_inv_s * proj
+    new_nodes, _ = term.project(c_new)
     if not float(np.max(np.abs(new_nodes - nodes))) < tol:
         return None
-    u = spectral.RadialCoeffs(basis, c_new)
-    return u if stability_eigenvalue(u, lam, term.f) > 0 else None
+    if not _is_stable(basis, term, lam, new_nodes):
+        return None
+    return spectral.RadialCoeffs(basis, c_new)
 
 
 def _fold_solve(basis, term, lam, c):
@@ -452,7 +505,7 @@ def _fold_solve(basis, term, lam, c):
         return float(g[0]), g_c, w @ (G @ v)
 
     _, best, _ = _bordered_newton(basis, term, c, lam, term.jacobian,
-                                  fold_function, NEWTON_TOL, chord=False)
+                                  fold_function, NEWTON_TOL, chord=False, stall=True)
     if best is None:
         return None
     c, lam, res = best
@@ -476,7 +529,8 @@ def picard_bisect(basis, f, lo, hi, width):
     certificate, counts as an upper end.  The first solved fold is kept, and
     a midpoint more than FOLD_MARGIN (relative) above it is an upper end
     without an iteration: there it blows up, or its own fold solve finds the
-    same fold.  Returns (lo, hi).
+    same fold.  Every later iteration gets that fold, so no further fold
+    solve is run.  Returns (lo, hi).
     width must be positive: the midpoint of two adjacent floats rounds onto
     one of them, so a zero width would never be reached.
     """
@@ -489,7 +543,7 @@ def picard_bisect(basis, f, lo, hi, width):
             hi = mid
             continue
         try:
-            monotone_iterate(basis, mid, f)
+            monotone_iterate(basis, mid, f, fold=fold)
             lo = mid
         except DivergenceSignal as exc:
             hi = mid
@@ -546,7 +600,7 @@ def newton_solve(basis, t, f, guess=None):
     outcome, best, norm = _bordered_newton(
         basis, term, c, lam, term.derivative,
         lambda c, lam, nodes, assemble: (float(phi0 @ c) - t, phi0, 0.0),
-        NEWTON_TOL, chord=True,
+        NEWTON_TOL, chord=True, stall=False,
     )
     if outcome == "singular":
         raise NewtonError(f"singular augmented Jacobian at t={t}")

@@ -66,8 +66,7 @@ def riesz_bound_ratio(points, f):
     basis = points[0].u.basis
     C = extension.poisson_constant(basis.n, basis.s)
     term = branchsolve._NonlinearTerm(basis, f)
-    hs = [spectral.RadialCoeffs(basis, p.lam * term(term._nonlinear_nodes(p.u.c)))
-          for p in points]
+    hs = [spectral.RadialCoeffs(basis, p.lam * term.project(p.u.c)[1]) for p in points]
     radii = np.linspace(0.02, 0.95, 20)
     u_abs = np.abs(np.stack([p.u.c for p in points]) @ basis.phi_matrix(radii))
     bounds = C * np.stack([extension.riesz_potential_radial(hs, float(x)) for x in radii], axis=1)
@@ -136,6 +135,6 @@ def phi1_identity_error(points, f):
     worst = 0.0
     for p in points:
         lhs = basis.mu[0] ** basis.s * p.u.c[0]
-        rhs = p.lam * term(term._nonlinear_nodes(p.u.c))[0]
+        rhs = p.lam * term.project(p.u.c)[1][0]
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return worst

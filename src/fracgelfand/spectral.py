@@ -37,7 +37,10 @@ class BallBasis:
     norm_consts: np.ndarray   # L^2(B_1) normalization constants N_k
     quad_nodes: np.ndarray    # Gauss-Legendre nodes on (0,1)
     quad_weights: np.ndarray  # weights including |S^{n-1}| rho^{n-1}
-    phi_table: np.ndarray = field(repr=False)   # (K, Q) eigenfunction values at nodes
+    # (K, Q) eigenfunction values at nodes, column-major: a node's K values are
+    # contiguous, so the nonlinear term walks any run of nodes in cache-sized
+    # column panels (`branchsolve._NonlinearTerm.project`)
+    phi_table: np.ndarray = field(repr=False)
 
     @property
     def nu(self):
@@ -94,12 +97,14 @@ def _bessel_j(nu, z, out=None):
     J_{-1/2} = sqrt(2/(pi z)) cos z and J_{1/2} = sqrt(2/(pi z)) sin z for
     half-integer nu.  The recurrence is stable where z >= nu; below that
     (nu > 1 only) the entries come from `special.jv`: 3-6 % of a K = 1024
-    basis table, 10-22 % at K = 64.  z = 0 is exact.  The rows of z (the
-    modes of a table) are computed in blocks of about _BESSEL_BLOCK entries,
-    so `out` may be z itself: a block is read before it is written.  A
-    block whose entries all take the recurrence (every n = 3 table, and
-    every n = 2 table off the axis) runs it on the block itself, without
-    the masks that split it from the `jv` and z = 0 entries.
+    basis table, 10-22 % at K = 64.  z = 0 is exact.  The rows of z are
+    computed in blocks of about _BESSEL_BLOCK entries, so `out` may be z
+    itself: a block is read before it is written.  A basis table is built
+    node-major, so its rows and blocks are runs of nodes; `phi_matrix`
+    still passes its modes as rows.  A block whose entries all take the
+    recurrence (every n = 3 table, and every n = 2 table off the axis) runs
+    it on the block itself, without the masks that split it from the `jv`
+    and z = 0 entries.
     """
     if nu < 0 or 2.0 * nu != int(2.0 * nu):
         raise ValueError(f"order {nu} is not a non-negative integer or half-integer")
@@ -241,7 +246,9 @@ def build_basis(n, s, K, quad_order=None):
     nodes, w = _gauss_rule(quad_order, 0.0, 1.0)
     weights = w * area * nodes ** (n - 1)
 
-    phi_table = _radial_kernel(nu, roots[:, None], nodes[None, :])
+    # built node-major and transposed, not copied: the same values as a
+    # mode-major build, stored column-major
+    phi_table = _radial_kernel(nu, roots[None, :], nodes[:, None]).T
     phi_table *= norm_consts[:, None]
     return BallBasis(
         n=n,

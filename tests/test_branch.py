@@ -197,6 +197,27 @@ class TestMonotoneIteration:
         with pytest.raises(branchsolve.DivergenceSignal, match="blew up at iteration 59"):
             branchsolve.monotone_iterate(basis, 2.01, fexp)
 
+    def test_known_fold_stands_in_for_the_fold_solve(self, fexp, monkeypatch):
+        # picard_bisect hands on the first fold it solved; with it no fold
+        # solve is run: above FOLD_MARGIN the step ends at CERTIFY_AFTER as
+        # before, within it Picard decides on its own
+        basis = spectral.build_basis(2, 1.0, 32)
+        with pytest.raises(branchsolve.DivergenceSignal) as got:
+            branchsolve.monotone_iterate(basis, 2.000875, fexp)
+        fold = got.value.fold_lambda
+        solves = []
+        monkeypatch.setattr(branchsolve, "_fold_solve", lambda *args: solves.append(args))
+        with pytest.raises(branchsolve.DivergenceSignal, match="lies above the fold") as again:
+            branchsolve.monotone_iterate(basis, 2.000875, fexp, fold=fold)
+        assert again.value.fold_lambda == fold
+        assert again.value.iterations == branchsolve.CERTIFY_AFTER
+        with pytest.raises(branchsolve.DivergenceSignal) as inside:
+            branchsolve.monotone_iterate(basis, fold * (1.0 + 0.5 * branchsolve.FOLD_MARGIN),
+                                         fexp, fold=fold)
+        assert inside.value.fold_lambda is None
+        assert inside.value.iterations > branchsolve.CERTIFY_AFTER
+        assert solves == []
+
     def test_certifies_a_step_picard_cannot_finish(self, fexp):
         # Picard alone runs out of its 4000 steps at both; the certified point
         # passes Picard's node test and is stable.  The second is the last
@@ -212,13 +233,16 @@ class TestMonotoneIteration:
     def test_certificate_stops_at_the_rounding_floor(self, fexp, monkeypatch):
         # the iterate after CERTIFY_AFTER Picard steps 1e-4 below the K = 128
         # fold; with tolerance 0 the certificate built F five times, going on
-        # below the residual's rounding level, and nu1 once more
+        # below the residual's rounding level, and nu1 once more.  With full
+        # steps it built F twice and nu1 once more; a chord step and the
+        # Cholesky test of nu1 > 0 need two builds in all
         basis = spectral.build_basis(20, 0.5, 128)
         lam = 3.2775512695312505
         term = branchsolve._NonlinearTerm(basis, fexp)
-        u_nodes = np.zeros_like(term.w)
+        _, proj = term.project(np.zeros(basis.K))
         for _ in range(branchsolve.CERTIFY_AFTER):
-            c, u_nodes = term.picard(lam, u_nodes)
+            c = lam * term.mu_inv_s * proj
+            _, proj = term.project(c)
         builds = []
         derivative = branchsolve._NonlinearTerm.derivative
 
@@ -229,7 +253,7 @@ class TestMonotoneIteration:
         monkeypatch.setattr(branchsolve._NonlinearTerm, "derivative", counted)
         u = branchsolve._newton_certificate(basis, term, lam, c, branchsolve.MONOTONE_TOL)
         assert u is not None
-        assert len(builds) <= 3
+        assert len(builds) <= 2
 
     def test_bisection_decisions_at_n20(self, fexp):
         # 24 halvings on [0.1, 8]: b blew up, c converged (by Picard or by a
@@ -358,6 +382,24 @@ class TestGram:
         g = term.w * f.deriv(u_nodes)
         assert np.array_equal(F, F.T)
         assert _rel_max(F, (term.phi * g) @ term.phi.T) <= 1e-13
+
+
+class TestProject:
+    """The one-pass nodes and projection, against the two whole-table products."""
+
+    @pytest.mark.parametrize("n, K, lam", [(3, 64, 1.0), (20, 512, 3.0)])
+    def test_matches_two_products(self, fexp, n, K, lam):
+        # one panel at (3, 64); six 256-column panels over 1456 kept nodes at (20, 512)
+        basis = spectral.build_basis(n, 0.5, K)
+        term = branchsolve._NonlinearTerm(basis, fexp)
+        panels = -(-term.w.size // term.panel)
+        assert panels == 1 if K == 64 else panels > 1
+        c = lam * spectral._zeta0(basis).c  # lambda f(0) zeta0, the first Picard iterate
+        nodes, proj = term.project(c)
+        want_nodes = (term.sigma * c) @ term.phi
+        want_proj = term.phi @ (term.w * fexp.eval(want_nodes)) + term.cut_share
+        assert _rel_max(nodes, want_nodes) <= 1e-13
+        assert _rel_max(proj, want_proj) <= 1e-13
 
 
 class TestCurvature:
@@ -549,6 +591,20 @@ class TestStability:
         got = branchsolve.stability_eigenvalue(u, lam, fexp)
         assert got == pytest.approx(want, rel=1e-9)
 
+    def test_cholesky_test_agrees_with_the_eigenvalue(self, fexp):
+        # the walked points before the fold have nu1 > 0, those after it nu1 < 0
+        basis = spectral.build_basis(3, 0.5, 64)
+        term = branchsolve._NonlinearTerm(basis, fexp)
+        br = branchsolve.continue_branch(basis, np.linspace(0.0, 12.0, 49)[1:], fexp)
+        signs = []
+        for p in br.points:
+            nu1 = branchsolve.stability_eigenvalue(p.u, p.lam, fexp)
+            if abs(nu1) > 1e-6:  # the refined fold point has |nu1| ~ 1e-8
+                stable = branchsolve._is_stable(basis, term, p.lam, term.project(p.u.c)[0])
+                assert stable == (nu1 > 0)
+                signs.append(stable)
+        assert True in signs and False in signs
+
     def test_minimal_branch_is_stable(self, basis, fexp):
         for lam in (0.2, 0.6, 1.0):
             u = branchsolve.monotone_iterate(basis, lam, fexp)
@@ -693,7 +749,7 @@ class TestPicardBisect:
         # a stand-in iteration that converges exactly below lambda = 3.25
         calls = []
 
-        def threshold(basis, lam, f, max_iter=4000):
+        def threshold(basis, lam, f, max_iter=4000, fold=None):
             calls.append(lam)
             if lam >= 3.25:
                 raise branchsolve.DivergenceSignal(lam, 1, float("inf"), exhausted=False)
@@ -709,27 +765,32 @@ class TestPicardBisect:
     def test_skips_steps_above_the_solved_fold(self, monkeypatch):
         # a stand-in whose every step above lambda = 3.25 lies above the fold
         # it solves there: after the first such step, midpoints more than
-        # FOLD_MARGIN above that fold are upper ends without an iteration
-        fold = 3.25
+        # FOLD_MARGIN above that fold are upper ends without an iteration,
+        # and every later iteration is handed that fold
+        fold_at = 3.25
         brackets = {}
-        for fold_lambda in (None, fold):
-            calls = []
+        for fold_lambda in (None, fold_at):
+            calls, handed = [], []
 
-            def threshold(basis, lam, f, max_iter=4000):
+            def threshold(basis, lam, f, max_iter=4000, fold=None):
                 calls.append(lam)
-                if lam >= fold:
+                handed.append(fold)
+                if lam >= fold_at:
                     raise branchsolve.DivergenceSignal(
                         lam, branchsolve.CERTIFY_AFTER, 1.0, exhausted=False,
                         fold_lambda=fold_lambda)
 
             monkeypatch.setattr(branchsolve, "monotone_iterate", threshold)
             brackets[fold_lambda] = branchsolve.picard_bisect(None, None, 0.1, 8.0, width=1e-11)
-            above = [lam for lam in calls if lam > fold * (1.0 + branchsolve.FOLD_MARGIN)]
+            above = [lam for lam in calls if lam > fold_at * (1.0 + branchsolve.FOLD_MARGIN)]
             if fold_lambda is None:
                 assert len(calls) == 40 and len(above) > 1
             else:
                 assert len(above) == 1 and len(calls) < 40
-        assert brackets[None] == brackets[fold]
+                first = calls.index(above[0])
+                assert handed[:first + 1] == [None] * (first + 1)
+                assert handed[first + 1:] == [fold_at] * (len(calls) - first - 1)
+        assert brackets[None] == brackets[fold_at]
 
     @pytest.mark.parametrize("width", [0.0, -1.0])
     def test_rejects_nonpositive_width(self, monkeypatch, width):
@@ -737,7 +798,7 @@ class TestPicardBisect:
         # hi, and the halving would never end
         calls = []
 
-        def threshold(basis, lam, f, max_iter=4000):
+        def threshold(basis, lam, f, max_iter=4000, fold=None):
             calls.append(lam)
             assert len(calls) < 200, "bisection does not stop"
             if lam >= 3.25:

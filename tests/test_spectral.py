@@ -35,6 +35,16 @@ class TestBuildBasis:
     def test_gram_matrix_is_identity(self, n, s):
         assert checks.gram_error(spectral.build_basis(n, s, 12)) < 1e-8
 
+    @pytest.mark.parametrize("n,K", [(2, 32), (3, 64), (7, 128), (20, 512)])
+    def test_phi_table_is_column_major_and_unchanged(self, n, K):
+        # built node-major and transposed: each node's K values are
+        # contiguous, and every value is the mode-major build's, bit for bit
+        b = spectral.build_basis(n, 0.5, K)
+        want = spectral._radial_kernel(b.nu, np.sqrt(b.mu)[:, None], b.quad_nodes[None, :])
+        want *= b.norm_consts[:, None]
+        assert b.phi_table.flags.f_contiguous
+        assert np.array_equal(b.phi_table, want)
+
     def test_eigenvalues_strictly_increasing(self, basis3):
         assert np.all(np.diff(basis3.mu) > 0)
 
