@@ -561,13 +561,7 @@ def amplitude(u):
     functions the basis resolves.  Newton's amplitude constraint uses the
     same row.
     """
-    return float(_amplitude_row(u.basis) @ u.c)
-
-
-def _amplitude_row(basis):
-    """The filtered phi_k(0) as a coefficient-space row: amplitude(u) = row @ c."""
-    row = basis.phi_matrix(np.array([0.0]))[:, 0]
-    return spectral.filtered(spectral.RadialCoeffs(basis, row)).c
+    return float(u.basis.filtered_origin_row @ u.c)
 
 
 def newton_solve(basis, t, f, guess=None):
@@ -584,7 +578,7 @@ def newton_solve(basis, t, f, guess=None):
     """
     if t < 0:
         raise ValueError("amplitude t must be >= 0")
-    phi0 = _amplitude_row(basis)
+    phi0 = basis.filtered_origin_row
     if guess is None:
         c = np.zeros(basis.K)
         lam = 0.0

@@ -69,13 +69,13 @@ def riesz_bound_ratio(points, f):
     hs = [spectral.RadialCoeffs(basis, p.lam * term.project(p.u.c)[1]) for p in points]
     radii = np.linspace(0.02, 0.95, 20)
     u_abs = np.abs(np.stack([p.u.c for p in points]) @ basis.phi_matrix(radii))
-    bounds = C * np.stack([extension.riesz_potential_radial(hs, float(x)) for x in radii], axis=1)
+    bounds = C * extension.riesz_potential_radial(hs, radii)
     return float(np.max(u_abs / bounds))
 
 
 def lemma_a_worst(n, s):
     """(margin, beta): the smallest 1 - beta C(n,s) A(n,s,beta) over
-    beta in {1/2, n/2, 9n/10}, with A refined to 1e-4."""
+    beta in {1/2, n/2, 9n/10}, with A in closed form."""
     return min(
         (regularity.lemma_a_margin(n, s, beta), beta)
         for beta in (0.5, n / 2.0, 0.9 * n)

@@ -8,6 +8,11 @@ v(rho, y) = sum_k b_k phi_k(rho) g_k(y), where the vertical profile
 solves the degenerate Bessel ODE selecting the decaying branch.  The weighted
 flux -y^(1-2s) g_k'(y) tends to flux_constant(s) * mu_k^s at y = 0, which is
 what realizes the fractional Laplacian as a boundary operator.
+
+The Riesz potential of |h| (`riesz_potential_radial`) is one radial integral
+against the closed-form sphere mean of its kernel.  Its panels away from each
+target radius form one base grid shared by every radius, so one table of
+basis values serves all the radii and functions of a call.
 """
 
 from __future__ import annotations
@@ -277,7 +282,8 @@ def poisson_constant(n, s):
 
 
 # sample radii per block of basis values in riesz_potential_radial: keeps the
-# (K, block) table and its Bessel temporaries to a few MB at every x
+# (K, block) table and its Bessel temporaries to a few MB however many radii
+# a call asks for
 _RIESZ_BLOCK = 2048
 
 # The radial rule of _riesz_samples: 16-point Gauss panels, each no wider
@@ -406,9 +412,32 @@ def _distance_edges(x, side, near, far, K, levels):
     return np.array(edges)
 
 
-def _riesz_samples(n, s, K, x):
-    """Sample radii r_i in [0, 1] and weights w_i with R(h)(x) = sum_i w_i |h(r_i)|
-    for every h on a K-mode basis.
+def _base_edges(K):
+    """Edges of the panels shared by every x > 0: _RIESZ_AXIS_PANEL / K wide
+    on [0, _RIESZ_AXIS / K], and equal panels no wider than _RIESZ_PANEL / K
+    from there to r = 1."""
+    axis = min(_RIESZ_AXIS / K, 1.0)
+    inner = np.linspace(0.0, axis, round(axis * K / _RIESZ_AXIS_PANEL) + 1)
+    outer = np.linspace(axis, 1.0, math.ceil((1.0 - axis) * K / _RIESZ_PANEL) + 1)
+    return np.concatenate([inner, outer[1:]])
+
+
+def _patch(edges, x):
+    """(lo, hi): the base panels lo .. hi-1 that the graded panels about x
+    replace.  Every panel outside them lies on one side of x and is no
+    wider than (1/_RIESZ_GRADING - 1) times its distance from x; since a
+    panel further out can be wider (the first bulk panel past the axis
+    zone), the patch reaches the last panel that is not."""
+    a, b = edges[:-1], edges[1:]
+    stretch = 1.0 / _RIESZ_GRADING - 1.0
+    kept = ((a >= x) & (b - a <= stretch * (a - x))) | ((b <= x) & (b - a <= stretch * (x - b)))
+    replaced = np.flatnonzero(~kept)
+    return (replaced[0], replaced[-1] + 1) if replaced.size else (0, 0)
+
+
+def _riesz_samples(n, s, K, xs):
+    """Sample radii r_i in [0, 1] and a weight matrix W, (len(r), len(xs)),
+    with R(h)(x_j) = sum_i W_ij |h(r_i)| for every h on a K-mode basis.
 
     At x = 0, R(h)(0) = |S^(n-1)| int_0^1 |h(r)| r^(2s-1) dr, and the
     substitution r = tau^(1/(2s)) removes the weight under an 80-point
@@ -416,49 +445,86 @@ def _riesz_samples(n, s, K, x):
 
         R(h)(x) = |S^(n-2)| int_0^1 |h(r)| r^(n-1) T(x, r) dr,
 
-    with |S^0| = 2 at n = 2, under the panel rule set out at _RIESZ_PANEL,
-    built on each side of x in the distance from x; T takes those
-    distances, not differences of rounded radii.  The innermost panel at
-    r = x is _RIESZ_GRADING^levels times the width allowed there, which
-    puts its share of T's singularity, of order delta^min(2s, 1), near
-    1e-16.
+    with |S^0| = 2 at n = 2, under the panel rule set out at _RIESZ_PANEL.
+    Its panels are the x-independent base panels of _base_edges, shared by
+    every x > 0, except near x: there _patch picks the base panels to
+    replace, and graded panels built on each side of x in the distance from
+    x (_distance_edges) take their place.  T takes those distances, not
+    differences of rounded radii.  The innermost panel at r = x is
+    _RIESZ_GRADING^levels times the width allowed there, which puts its
+    share of T's singularity, of order delta^min(2s, 1), near 1e-16.  The
+    base radii come first in r, then each x's own radii; a column of W is
+    zero at the radii of the other x and at the base panels it replaced.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("need s in (0, 1)")
-    if x == 0.0:
-        tau, wtau = spectral._gauss_rule(80, 0.0, 1.0)
-        return tau ** (1.0 / (2.0 * s)), spectral.sphere_area(n) * (wtau / (2.0 * s))
+    area = 2.0 if n == 2 else spectral.sphere_area(n - 1)  # |S^0| = 2
     # at most 300 levels, so that the innermost panel stays a normal number
     levels = min(math.ceil(math.log(1e-16) / (min(2.0 * s, 1.0) * math.log(_RIESZ_GRADING))), 300)
-    r, delta, w = [], [], []
-    for side, near, far in ((-1.0, max(x - 1.0, 0.0), x), (1.0, 0.0, 1.0 - x)):
-        if far > near:
-            edges = _distance_edges(x, side, near, far, K, levels)
-            d, wd = map(np.ravel, spectral._gauss_rule(16, edges[:-1], edges[1:]))
-            r.append(x + side * d)
-            delta.append(d)
-            w.append(wd)
-    r, delta, w = map(np.concatenate, (r, delta, w))
-    area = 2.0 if n == 2 else spectral.sphere_area(n - 1)  # |S^0| = 2
-    return r, area * w * r ** (n - 1.0) * _angular_kernel(n, s, np.maximum(r, x), delta)
+    edges = _base_edges(K)
+    rb, wb = spectral._gauss_rule(16, edges[:-1], edges[1:])
+    base = rb.size if np.any(xs > 0.0) else 0
+    radii, columns = [rb.ravel()[:base]], []
+    for x in xs:
+        if x == 0.0:
+            tau, wtau = spectral._gauss_rule(80, 0.0, 1.0)
+            radii.append(tau ** (1.0 / (2.0 * s)))
+            columns.append((np.zeros(base), spectral.sphere_area(n) * (wtau / (2.0 * s))))
+            continue
+        lo, hi = _patch(edges, x)
+        kept = np.ones(rb.shape[0], dtype=bool)
+        kept[lo:hi] = False
+        col = np.zeros(rb.shape)
+        rk = rb[kept]
+        col[kept] = area * wb[kept] * rk ** (n - 1.0) * _angular_kernel(
+            n, s, np.maximum(rk, x), np.abs(rk - x))
+        r, delta, w = [], [], []
+        for side, near, far in ((-1.0, max(x - edges[hi], 0.0), x - edges[lo]),
+                                (1.0, 0.0, edges[hi] - x)):
+            if far > near:
+                dist = _distance_edges(x, side, near, far, K, levels)
+                d, wd = map(np.ravel, spectral._gauss_rule(16, dist[:-1], dist[1:]))
+                r.append(x + side * d)
+                delta.append(d)
+                w.append(wd)
+        r, delta, w = (np.concatenate(v) if v else np.zeros(0) for v in (r, delta, w))
+        radii.append(r)
+        columns.append((col.ravel(), area * w * r ** (n - 1.0)
+                        * _angular_kernel(n, s, np.maximum(r, x), delta)))
+    r = np.concatenate(radii)
+    W = np.zeros((r.size, len(xs)))
+    row = base
+    for j, (col, w) in enumerate(columns):
+        W[:base, j] = col
+        W[row:row + w.size, j] = w
+        row += w.size
+    return r, W
 
 
 def riesz_potential_radial(h, x_mag):
     """int_{B_1} |h(x~)| / |x - x~|^(n-2s) dx~ at |x| = x_mag.
 
-    h is one RadialCoeffs, giving a float, or a sequence of them on one
-    basis, giving an array with one potential per function.  For x_mag > 0
-    it is one radial integral of |h| against the closed-form sphere mean of
-    the kernel (_angular_kernel).  Its sample radii and weights depend on
-    (n, s, K, x_mag) only (see _riesz_samples), so all functions share one
-    table of basis values, built in blocks of _RIESZ_BLOCK radii.
+    h is one RadialCoeffs or a sequence of them on one basis; x_mag is one
+    radius or an array of radii.  The result is a float for one function at
+    one radius, an array over the functions or over the radii when one of
+    the two is a sequence, and an array of shape (functions, radii) when
+    both are.  For x_mag > 0 it is one radial integral of |h| against the
+    closed-form sphere mean of the kernel (_angular_kernel).  The sample
+    radii and weights depend on (n, s, K) and the radii only (see
+    _riesz_samples), and the radii away from each x are one base grid
+    shared by all of them, so all functions and all radii share one table
+    of basis values, built in blocks of _RIESZ_BLOCK radii.
     """
     hs, single = _traces(h)
     basis = hs[0].basis
     C = np.stack([g.c for g in hs])
-    r, w = _riesz_samples(basis.n, basis.s, basis.K, float(x_mag))
-    total = np.zeros(len(hs))
+    xs = np.asarray(x_mag, dtype=float)
+    r, W = _riesz_samples(basis.n, basis.s, basis.K, xs.ravel())
+    total = np.zeros((len(hs), xs.size))
     for lo in range(0, r.size, _RIESZ_BLOCK):
         block = slice(lo, lo + _RIESZ_BLOCK)
-        total += np.abs(C @ basis.phi_matrix(r[block])) @ w[block]
-    return float(total[0]) if single else total
+        total += np.abs(C @ basis.phi_matrix(r[block])) @ W[block]
+    total = total.reshape(len(hs), *xs.shape)
+    if not single:
+        return total
+    return float(total[0]) if xs.ndim == 0 else total[0]

@@ -54,6 +54,15 @@ class BallBasis:
         table *= self.norm_consts[:, None]
         return table
 
+    @functools.cached_property
+    def filtered_origin_row(self):
+        """The filtered phi_k(0) as a read-only coefficient row: the filtered
+        synthesis of c at the axis is row @ c.  Built on first use and kept
+        for the life of the basis."""
+        row = filtered(RadialCoeffs(self, self.phi_matrix(np.array([0.0]))[:, 0])).c
+        row.flags.writeable = False
+        return row
+
     def phi_prime_matrix(self, rho):
         """(K, len(rho)) table of d(phi_k)/d(rho); zero on the axis.
 

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
-from fracgelfand import extension, spectral
+from fracgelfand import branchsolve, checks, config, extension, spectral
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +309,24 @@ class TestRieszPotential:
             assert isinstance(batched, np.ndarray) and batched.shape == (4,)
             np.testing.assert_allclose(batched, single, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_radii_match_single_calls(self, n):
+        # one call for many radii shares the base panels and the basis table;
+        # the radii cover x = 0, the axis zone, its edge 8/K and r = 1
+        K = 16
+        b = spectral.build_basis(n, 0.5, K)
+        rng = np.random.default_rng(10 + n)
+        hs = [spectral.RadialCoeffs(b, rng.normal(size=K)) for _ in range(3)]
+        radii = np.array([0.0, 0.02, 8.0 / K - 0.2 / K, 8.0 / K + 0.2 / K, 0.4,
+                          0.9, 1.0 - 2.0 / K, 1.0, 1.5])
+        batched = extension.riesz_potential_radial(hs, radii)
+        assert batched.shape == (3, radii.size)
+        single = [[extension.riesz_potential_radial(h, float(x)) for x in radii] for h in hs]
+        np.testing.assert_allclose(batched, single, rtol=1e-14, atol=0.0)
+        one = extension.riesz_potential_radial(hs[0], radii)
+        assert one.shape == radii.shape
+        np.testing.assert_allclose(one, single[0], rtol=1e-14, atol=0.0)
+
     def test_against_log_kernel_oracle(self):
         # n=3, s=1/2: V(x) = (2 pi / x) int_0^1 r h(r) log((r+x)/|r-x|) dr
         b = spectral.build_basis(3, 0.5, 48)
@@ -361,6 +379,67 @@ class TestRieszPotential:
             assert extension.riesz_potential_radial(h, x) == pytest.approx(
                 self._log_kernel_oracle(h, x), rel=1e-12
             )
+
+    @pytest.mark.parametrize("which", ["projected_one", "quartic"])
+    @pytest.mark.parametrize("x", [8.0 / 48 - 0.2 / 48, 8.0 / 48 + 0.2 / 48, 1.0 - 2.0 / 48],
+                             ids=["8/K-0.2/K", "8/K+0.2/K", "1-2/K"])
+    def test_patch_edges_against_log_kernel_oracle(self, which, x):
+        # next to the axis zone's edge 8/K a wide base panel starts close to
+        # x, and next to r = 1 the patch reaches the end of the grid
+        b = spectral.build_basis(3, 0.5, 48)
+        if which == "projected_one":
+            h = spectral.RadialCoeffs(b, b.phi_table @ b.quad_weights)
+        else:
+            h = spectral.analyze(b, lambda r: (1.0 - r ** 2) ** 2)
+        assert extension.riesz_potential_radial(h, x) == pytest.approx(
+            self._log_kernel_oracle(h, x), rel=1e-12
+        )
+
+    @staticmethod
+    def _split_reference(h, x):
+        """R(h)(x) on 32-point panels no wider than 1/(8K), graded by 0.2
+        toward x on each side and split at every zero of h, so that no panel
+        holds a kink of |h|.  40-point panels of 1/(16K) agree with it to
+        7e-16 at (6, 1/2 + 1e-6, 64), x = 0.02 and 0.3."""
+        b = h.basis
+        grid = np.linspace(0.0, 1.0, 20001)
+        v = spectral.evaluate(h, grid)
+        zeros = [
+            optimize.brentq(lambda r: spectral.evaluate(h, r), grid[i], grid[i + 1],
+                            xtol=1e-15, rtol=1e-15)
+            for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)
+        ]
+        cap = 1.0 / (8.0 * b.K)
+        area = 2.0 if b.n == 2 else spectral.sphere_area(b.n - 1)
+        total = 0.0
+        for side, far in ((-1.0, x), (1.0, 1.0 - x)):
+            edges = [0.0, 0.2 ** 40 * cap]
+            while edges[-1] < far:
+                edges.append(edges[-1] + min(cap, 4.0 * edges[-1]))
+            edges[-1] = far
+            splits = [side * (z - x) for z in zeros if 0.0 < side * (z - x) < far]
+            edges = np.unique(np.concatenate([edges, splits]))
+            d, wd = map(np.ravel, spectral._gauss_rule(32, edges[:-1], edges[1:]))
+            r = x + side * d
+            w = area * wd * r ** (b.n - 1.0) * extension._angular_kernel(
+                b.n, b.s, np.maximum(r, x), d)
+            total += float(np.abs(spectral.evaluate(h, r)) @ w)
+        return total
+
+    def test_kinked_h_next_to_the_axis(self):
+        # at (6, 1/2 + 1e-6, 64) the projected h = lambda P[f(u)] of the stable
+        # points rings next to the axis and changes sign there; no rule blind to
+        # h converges faster than algebraically at its kinks.  Measured at
+        # x = 0.02: at most 9.3e-6 relative over the five traces
+        cfg = config.ExperimentConfig(n=6, s=0.5 + 1e-6, modes=64)
+        b = spectral.build_basis(cfg.n, cfg.s, cfg.modes)
+        f = cfg.nonlinearity()
+        points = checks.stable_points(branchsolve._walk(b, f, cfg.t_max, cfg.t_steps), 5)
+        term = branchsolve._NonlinearTerm(b, f)
+        hs = [spectral.RadialCoeffs(b, p.lam * term.project(p.u.c)[1]) for p in points]
+        got = extension.riesz_potential_radial(hs, 0.02)
+        ref = np.array([self._split_reference(h, 0.02) for h in hs])
+        assert np.max(np.abs(got - ref) / ref) <= 1.6e-5
 
     @staticmethod
     def _shell_rule(n, s, x):

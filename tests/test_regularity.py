@@ -1,16 +1,12 @@
 """Tests for the regularity thresholds, decay fits, and the A-constant.
 
-The A-constant has an independent oracle: for n = 3, s = 1/2 the angular
-integral can be reduced to an elementary function and the remaining (r, y)
-double integral handled by scipy.integrate, so the 2F1 angular form and the
-graded (r, y) quadrature are checked against a structurally different
-computation.  The 2F1 form is also checked against adaptive quadrature of the
-angular integral itself.
-
-The sign-condition margin has an observed closed form,
-1 - beta C(n,s) A(n,s,beta) = (n - beta) / (n - beta + 2 - 2s), which the
-benchmark's adaptive polar reference (bench/references.py) reproduces to
-1e-11; the graded rule is checked against it over a grid of (n, s, beta).
+A(n, s, beta) is a closed form, derived by Fourier transform in x (see
+`regularity.a_constant`).  It has two independent checks.  For n = 3,
+s = 1/2 the angular integral reduces to an elementary function and the
+remaining (r, y) double integral is handled by scipy.integrate; elsewhere the
+benchmark's adaptive polar quadrature (bench/references.py) integrates the
+kernel with its angular part as a 2F1, which is itself checked against
+adaptive quadrature of the angular integral, down to the kernel's corner.
 """
 
 import importlib.util
@@ -149,23 +145,6 @@ def _a_theta_quad(n, s, r, y):
     return val
 
 
-class TestAngularIntegral:
-    @pytest.mark.parametrize("n", [2, 3, 5, 10])
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    def test_closed_form_against_quad(self, n, s):
-        # 1e-10 from the axis to far out, down to q = y^2 + (r-1)^2 = 1e-5;
-        # closer to the corner (1, 0), rounding z costs about 2e-16 / q
-        rys = [(1e-3, 0.01), (0.3, 0.2), (0.5, 2.0), (0.997, 0.002),
-               (1.0, 0.0032), (1.003, 0.002), (1.1, 0.05), (3.0, 0.1),
-               (50.0, 5.0), (1.0, 1e-3), (0.999, 0.0), (1.0, 1e-4),
-               (0.9999, 0.0), (1.0, 1e-5), (0.99999, 0.0)]
-        for r, y in rys:
-            q = y * y + (r - 1.0) ** 2
-            got = regularity._a_theta_integral(n, s, np.array([r]), y)[0]
-            assert got == pytest.approx(_a_theta_quad(n, s, r, y),
-                                        rel=max(1e-10, 1e-15 / q))
-
-
 REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.py"
 
 
@@ -176,28 +155,27 @@ def _load_references():
     return module
 
 
+class TestAngularIntegral:
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_closed_form_against_quad(self, n, s):
+        # the 2F1 form inside the reference A, to 1e-10 from the axis to far
+        # out, down to q = y^2 + (r-1)^2 = 1e-5; closer to the corner (1, 0),
+        # rounding its argument costs about 2e-16 / q
+        references = _load_references()
+        rys = [(1e-3, 0.01), (0.3, 0.2), (0.5, 2.0), (0.997, 0.002),
+               (1.0, 0.0032), (1.003, 0.002), (1.1, 0.05), (3.0, 0.1),
+               (50.0, 5.0), (1.0, 1e-3), (0.999, 0.0), (1.0, 1e-4),
+               (0.9999, 0.0), (1.0, 1e-5), (0.99999, 0.0)]
+        for r, y in rys:
+            q = y * y + (r - 1.0) ** 2
+            got = references.angular_integral(n, s, 1.0 + r * r + y * y, 2.0 * r)
+            assert got == pytest.approx(_a_theta_quad(n, s, r, y),
+                                        rel=max(1e-10, 1e-15 / q))
+
+
 def _closed_form_margin(n, s, beta):
     return (n - beta) / (n - beta + 2.0 - 2.0 * s)
-
-
-def _counting_theta_integral(monkeypatch):
-    """Wrap _a_theta_integral; the returned list collects its value counts."""
-    sizes = []
-    inner = regularity._a_theta_integral
-
-    def counted(n, s, r, y):
-        out = inner(n, s, r, y)
-        sizes.append(out.size)
-        return out
-
-    monkeypatch.setattr(regularity, "_a_theta_integral", counted)
-    return sizes
-
-
-def _nodes(m):
-    # near field (24 m r-nodes by 16 m y-nodes) plus two far charts of
-    # 8 m tau-nodes by 8 m theta-nodes
-    return 512 * m * m
 
 
 # criterion 9's (n, s) grid, then three more dimensions up to n = 20
@@ -207,13 +185,13 @@ A_GRID = ([(n, s) for n in (2, 3, 5, 10) for s in (0.25, 0.5, 0.75)]
 
 class TestAConstant:
     def test_against_independent_oracle(self):
-        # measured: 5.0e-15 (beta = 1/2) and 6.7e-16 (beta = 1) relative
+        # measured: 5.5e-15 (beta = 1/2) and 1.3e-16 (beta = 1) relative
         for beta in (0.5, 1.0):
             a = regularity.a_constant(3, 0.5, beta)
-            assert a == pytest.approx(_a_oracle_3d_half(beta), rel=1e-12)
+            assert a == pytest.approx(_a_oracle_3d_half(beta), rel=1e-13)
 
     def test_positive_and_finite(self):
-        a = regularity.a_constant(5, 0.7, 1.5, rel_tol=1e-3)
+        a = regularity.a_constant(5, 0.7, 1.5)
         assert 0.0 < a < 1e3
 
     def test_margin_positive_sample(self):
@@ -228,40 +206,19 @@ class TestAConstant:
             assert m == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("n,s", A_GRID)
-    def test_margin_closed_form_at_first_refinement(self, n, s, monkeypatch):
-        # worst measured: 1.3e-6 at (4, 0.9, 3.6) and 4.1e-7 at (2, 0.75, 1.8)
+    def test_margin_closed_form_at_first_refinement(self, n, s):
+        # worst measured: 3.3e-16
         for beta in (0.5, n / 2.0, 0.9 * n):
-            sizes = _counting_theta_integral(monkeypatch)
             margin = regularity.lemma_a_margin(n, s, beta)
-            assert margin == pytest.approx(_closed_form_margin(n, s, beta), abs=1e-5)
-            # the levels m = 6 and m = 12, no further refinement
-            assert sum(sizes) == _nodes(6) + _nodes(12)
+            assert margin == pytest.approx(_closed_form_margin(n, s, beta), abs=1e-14)
 
     @pytest.mark.parametrize("n,s,beta", [(3, 0.5, 2.7), (5, 0.25, 2.5), (2, 0.75, 1.8)])
     def test_closed_form_against_reference(self, n, s, beta):
         # the adaptive polar reference meets the closed form to 1.1e-12 at
-        # (2, 0.75, 1.8) and below 1e-12 elsewhere; the graded rule meets the
-        # reference to 5.7e-7 relative at (2, 0.75, 1.8), 3.6e-11 elsewhere
+        # (2, 0.75, 1.8) and below 1e-12 elsewhere
         references = _load_references()
         ref = references.a_constant(n, s, beta, epsrel=1e-9)
         assert 1.0 - beta * references.poisson_constant(n, s) * ref == pytest.approx(
             _closed_form_margin(n, s, beta), abs=1e-11
         )
-        assert regularity.a_constant(n, s, beta) == pytest.approx(ref, rel=1e-6)
-
-    def test_refinement_below_rounding_raises(self, monkeypatch):
-        # at beta = 2.99 the (0, 0) corner is nearly singular, and the
-        # estimates at m = 48 and 96 still differ by 1.4e-14, far above
-        # a tolerance of 1e-17 (n = 3, s = 1/2 keeps 2F1 on its fast path)
-        n, s, beta = 3, 0.5, 2.99
-        sizes = _counting_theta_integral(monkeypatch)
-        with pytest.raises(extension.QuadratureError) as info:
-            regularity.a_constant(n, s, beta, rel_tol=1e-17)
-        assert sum(sizes) == sum(_nodes(6 * 2 ** k) for k in range(5))
-        message = str(info.value)
-        assert "did not reach 1.0e-17" in message
-        last = [float(v) for v in message.split("last estimates ")[1].rstrip(")").split(", ")]
-        closed = (1.0 - _closed_form_margin(n, s, beta)) / (
-            beta * extension.poisson_constant(n, s))
-        assert len(last) == 2 and last[0] != last[1]
-        assert last == pytest.approx([closed, closed], rel=1e-10)
+        assert regularity.a_constant(n, s, beta) == pytest.approx(ref, rel=1e-10)
