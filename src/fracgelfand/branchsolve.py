@@ -155,10 +155,6 @@ class Branch:
     fold_index: Optional[int] = None
     stop: str = "grid end"        # why the walk stopped: "grid end" or Newton's error
 
-    @property
-    def lambda_max(self):
-        return max(p.lam for p in self.points)
-
 
 class _NonlinearTerm:
     """The nonlinear term P[f(u~)] of (-Delta)^s u = lambda P[f(u~)], on one basis.
@@ -644,10 +640,7 @@ def continue_branch(basis, t_grid, f):
             br.fold_index = i - 1
             break
     if br.fold_index is not None:
-        try:
-            _refine_fold(basis, br, f)
-        except NewtonError as exc:
-            raise BranchError(f"fold refinement failed: {exc}", br) from exc
+        _refine_fold(basis, br, f)
     return br
 
 
@@ -656,14 +649,16 @@ def _refine_fold(basis, br, f):
 
     The fold solve starts at the walked point `br.fold_index` and needs no
     bracket, so a fold at the first walked point is refined as well; when it
-    finds no fold, NewtonError names its start t.  Its point, with its own
-    amplitude, nu1 and residual, is inserted in amplitude order; the fold
-    stays the point of largest lambda.
+    finds no fold, a BranchError carrying the walked branch names its start
+    t.  Its point, with its own amplitude, nu1 and residual, is inserted in
+    amplitude order; the fold stays the point of largest lambda.
     """
     start = br.points[br.fold_index]
     point = _fold_solve(basis, _NonlinearTerm(basis, f), start.lam, start.u.c)
     if point is None:
-        raise NewtonError(f"the fold solve from t={start.t} found no fold")
+        raise BranchError(
+            f"fold refinement failed: the fold solve from t={start.t} found no fold", br
+        )
     br.points.insert(int(np.searchsorted([p.t for p in br.points], point.t)), point)
     br.fold_index = int(np.argmax([p.lam for p in br.points]))
 
@@ -671,43 +666,36 @@ def _refine_fold(basis, br, f):
 def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=BRACKET_REL_TOL):
     """Two independent brackets for the extremal parameter.
 
-    (i) maximum of the continued branch, with the fold solved for from the
+    (i) lambda_F, the fold of the continued branch, solved for from the
     walked fold point (`_refine_fold`);
     (ii) bisection on convergence/divergence of the monotone iteration
-    (picard_bisect); a step that runs out of its budget without a Newton
-    certificate, or that lies above the fold its fold solve found from the
-    Picard iterate, counts as an upper end, like one that blows up.
+    (picard_bisect) from lambda_F (1 - 2 bracket_rel_tol) to 1.05 lambda_F,
+    each end checked by one iteration; a step that runs out of its budget
+    without a Newton certificate, or that lies above the fold its fold solve
+    found from the Picard iterate, counts as an upper end, like one that
+    blows up.
     A BranchError, carrying the continued branch, is raised when the fold
-    refinement fails, when the routes disagree by more than bracket_rel_tol,
-    or when the monotone iteration gives no bracket around the fold.
-    Returns (lo, hi, branch).
+    refinement fails, when the iteration diverges at the bracket's lower end
+    or converges at its upper end, or when the routes disagree by more than
+    bracket_rel_tol.  Returns (lo, hi, branch).
     """
     br = _walk(basis, f, t_max, t_steps)
     lam_fold = extremal_solution(br).lam
 
-    lo, hi = lam_fold * (1.0 - 2.0 * bracket_rel_tol), lam_fold * (1.0 + 0.05)
+    lo, hi = lam_fold * (1.0 - 2.0 * bracket_rel_tol), lam_fold * 1.05
     try:
         monotone_iterate(basis, lo, f)
+    except DivergenceSignal as exc:
+        raise BranchError(
+            f"monotone iteration diverges at lambda={lo}, below the fold {lam_fold}", br
+        ) from exc
+    try:
+        monotone_iterate(basis, hi, f)
     except DivergenceSignal:
-        lo = lam_fold * 0.9  # fold estimate slightly high; widen downward
-        try:
-            monotone_iterate(basis, lo, f)
-        except DivergenceSignal as exc:
-            raise BranchError(
-                f"monotone iteration diverges at lambda={lo}, "
-                f"0.9 times the fold estimate {lam_fold}", br
-            ) from exc
-    # grow hi by 5 % until the iteration diverges, at most to 1.05^60 ~ 19x
-    for _ in range(60):
-        try:
-            monotone_iterate(basis, hi, f)
-        except DivergenceSignal:
-            break
-        hi *= 1.05
+        pass
     else:
         raise BranchError(
-            f"monotone iteration converges up to lambda={hi / 1.05}, "
-            f"1.05^60 times the fold estimate {lam_fold}", br
+            f"monotone iteration converges at lambda={hi}, above the fold {lam_fold}", br
         )
     lo, hi = picard_bisect(basis, f, lo, hi, bracket_rel_tol * lam_fold)
     if not (lo - bracket_rel_tol * lam_fold <= lam_fold <= hi + bracket_rel_tol * lam_fold):

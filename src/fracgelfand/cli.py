@@ -40,12 +40,7 @@ def _atomic_write(path, text):
 
 
 def _json_dump(obj):
-    def default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        raise TypeError(type(o))
-
-    return json.dumps(obj, indent=2, sort_keys=True, default=default) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _build(cfg):

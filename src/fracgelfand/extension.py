@@ -363,13 +363,16 @@ def _connection_series(n, s):
 
 
 def _angular_kernel(n, s, big, delta):
-    """T = int_0^pi sin^(n-2) t (x^2 + r^2 - 2 x r cos t)^(s - n/2) dt; times
-    |S^(n-2)| it is the integral of |x - r omega|^(2s-n) over unit vectors omega.
+    """big^(n-1) T, with T = int_0^pi sin^(n-2) t (x^2 + r^2 - 2 x r cos t)^(s - n/2) dt;
+    times |S^(n-2)| T is the integral of |x - r omega|^(2s-n) over unit
+    vectors omega.
 
     big = max(x, r) and delta = |x - r| > 0 are arrays.  In closed form
     T = B(1/2, (n-1)/2) big^(2s-n) 2F1((n-2s)/2, 1-s; n/2; w) with
     w = (min(x, r) / big)^2 (Gradshteyn & Ryzhik 3.665), and
-    y = 1 - w = delta (2 big - delta) / big^2 carries no cancellation.
+    y = 1 - w = (delta / big) (2 - delta / big) carries no cancellation.
+    The factor big^(n-1) leaves big^(2s-1), which stays finite where
+    big^(2s-n) overflows: a caller weights by (r / big)^(n-1) for r^(n-1) T.
     Where y > _NEAR_ONE, 2F1 is `special.hyp2f1`; nearer r = x it is the
     connection series of _connection_series, exact also at and near
     s = 1/2.  At n = 3, T = ((x + r)^eps - delta^eps) / (eps x r) with
@@ -377,7 +380,8 @@ def _angular_kernel(n, s, big, delta):
     """
     big = np.asarray(big, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    y = delta * (2.0 * big - delta) / big ** 2
+    q = delta / big
+    y = q * (2.0 - q)
     F = np.empty_like(y)
     far = y > _NEAR_ONE
     F[far] = special.beta(0.5, (n - 1.0) / 2.0) * special.hyp2f1(
@@ -389,7 +393,7 @@ def _angular_kernel(n, s, big, delta):
     if eps != 0.0:
         lag = np.expm1(eps * lag) / eps
     F[~far] = (g * near ** (np.arange(g.size) + eps) * lag).sum(axis=1)
-    return big ** (2.0 * s - n) * F
+    return big ** (2.0 * s - 1.0) * F
 
 
 def _distance_edges(x, side, near, far, K, levels):
@@ -413,7 +417,7 @@ def _distance_edges(x, side, near, far, K, levels):
 
 
 def _base_edges(K):
-    """Edges of the panels shared by every x > 0: _RIESZ_AXIS_PANEL / K wide
+    """Edges of the panels shared by every x: _RIESZ_AXIS_PANEL / K wide
     on [0, _RIESZ_AXIS / K], and equal panels no wider than _RIESZ_PANEL / K
     from there to r = 1."""
     axis = min(_RIESZ_AXIS / K, 1.0)
@@ -439,18 +443,20 @@ def _riesz_samples(n, s, K, xs):
     """Sample radii r_i in [0, 1] and a weight matrix W, (len(r), len(xs)),
     with R(h)(x_j) = sum_i W_ij |h(r_i)| for every h on a K-mode basis.
 
-    At x = 0, R(h)(0) = |S^(n-1)| int_0^1 |h(r)| r^(2s-1) dr, and the
-    substitution r = tau^(1/(2s)) removes the weight under an 80-point
-    rule.  Elsewhere the angular integral is closed-form (_angular_kernel):
+    The angular integral is closed-form (_angular_kernel):
 
         R(h)(x) = |S^(n-2)| int_0^1 |h(r)| r^(n-1) T(x, r) dr,
 
     with |S^0| = 2 at n = 2, under the panel rule set out at _RIESZ_PANEL.
-    Its panels are the x-independent base panels of _base_edges, shared by
-    every x > 0, except near x: there _patch picks the base panels to
+    At x = 0 it is T = B(1/2, (n-1)/2) r^(2s-n), the hyp2f1 branch at
+    w = 0.  r^(n-1) T is (r / big)^(n-1) times _angular_kernel's
+    big^(n-1) T, big = max(x, r), so that no power of a radius next to
+    x = 0 leaves the floating-point range.  Its panels are the x-independent base panels of _base_edges,
+    shared by every x, except near x: there _patch picks the base panels to
     replace, and graded panels built on each side of x in the distance from
-    x (_distance_edges) take their place.  T takes those distances, not
-    differences of rounded radii.  The innermost panel at r = x is
+    x (_distance_edges) take their place; at x = 0 they replace the first
+    axis panel only.  T takes those distances, not differences of rounded
+    radii.  The innermost panel at r = x is
     _RIESZ_GRADING^levels times the width allowed there, which puts its
     share of T's singularity, of order delta^min(2s, 1), near 1e-16.  The
     base radii come first in r, then each x's own radii; a column of W is
@@ -458,26 +464,22 @@ def _riesz_samples(n, s, K, xs):
     """
     if not 0.0 < s < 1.0:
         raise ValueError("need s in (0, 1)")
-    area = 2.0 if n == 2 else spectral.sphere_area(n - 1)  # |S^0| = 2
+    area = spectral.sphere_area(n - 1)
     # at most 300 levels, so that the innermost panel stays a normal number
     levels = min(math.ceil(math.log(1e-16) / (min(2.0 * s, 1.0) * math.log(_RIESZ_GRADING))), 300)
     edges = _base_edges(K)
     rb, wb = spectral._gauss_rule(16, edges[:-1], edges[1:])
-    base = rb.size if np.any(xs > 0.0) else 0
-    radii, columns = [rb.ravel()[:base]], []
+    base = rb.size
+    radii, columns = [rb.ravel()], []
     for x in xs:
-        if x == 0.0:
-            tau, wtau = spectral._gauss_rule(80, 0.0, 1.0)
-            radii.append(tau ** (1.0 / (2.0 * s)))
-            columns.append((np.zeros(base), spectral.sphere_area(n) * (wtau / (2.0 * s))))
-            continue
         lo, hi = _patch(edges, x)
         kept = np.ones(rb.shape[0], dtype=bool)
         kept[lo:hi] = False
         col = np.zeros(rb.shape)
         rk = rb[kept]
-        col[kept] = area * wb[kept] * rk ** (n - 1.0) * _angular_kernel(
-            n, s, np.maximum(rk, x), np.abs(rk - x))
+        big = np.maximum(rk, x)
+        col[kept] = area * wb[kept] * (rk / big) ** (n - 1.0) * _angular_kernel(
+            n, s, big, np.abs(rk - x))
         r, delta, w = [], [], []
         for side, near, far in ((-1.0, max(x - edges[hi], 0.0), x - edges[lo]),
                                 (1.0, 0.0, edges[hi] - x)):
@@ -489,8 +491,9 @@ def _riesz_samples(n, s, K, xs):
                 w.append(wd)
         r, delta, w = (np.concatenate(v) if v else np.zeros(0) for v in (r, delta, w))
         radii.append(r)
-        columns.append((col.ravel(), area * w * r ** (n - 1.0)
-                        * _angular_kernel(n, s, np.maximum(r, x), delta)))
+        big = np.maximum(r, x)
+        columns.append((col.ravel(), area * w * (r / big) ** (n - 1.0)
+                        * _angular_kernel(n, s, big, delta)))
     r = np.concatenate(radii)
     W = np.zeros((r.size, len(xs)))
     row = base
@@ -508,12 +511,12 @@ def riesz_potential_radial(h, x_mag):
     radius or an array of radii.  The result is a float for one function at
     one radius, an array over the functions or over the radii when one of
     the two is a sequence, and an array of shape (functions, radii) when
-    both are.  For x_mag > 0 it is one radial integral of |h| against the
-    closed-form sphere mean of the kernel (_angular_kernel).  The sample
-    radii and weights depend on (n, s, K) and the radii only (see
-    _riesz_samples), and the radii away from each x are one base grid
-    shared by all of them, so all functions and all radii share one table
-    of basis values, built in blocks of _RIESZ_BLOCK radii.
+    both are.  At every radius, x_mag = 0 included, it is one radial
+    integral of |h| against the closed-form sphere mean of the kernel
+    (_angular_kernel).  The sample radii and weights depend on (n, s, K)
+    and the radii only (see _riesz_samples), and the radii away from each x
+    are one base grid shared by all of them, so all functions and all radii
+    share one table of basis values, built in blocks of _RIESZ_BLOCK radii.
     """
     hs, single = _traces(h)
     basis = hs[0].basis

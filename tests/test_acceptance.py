@@ -116,7 +116,7 @@ class TestCriterion5:
         single_fold = i_fold is not None and np.all(np.diff(drops) == 1) and len(drops) > 0
         stable_before = all(p.nu1 > 0 for p in br.points[:i_fold])
         nu_at_fold = abs(br.points[i_fold].nu1)
-        lam_fold = br.lambda_max
+        lam_fold = branchsolve.extremal_solution(br).lam
         bis_mid = 0.5 * (lo + hi)
         route_gap = abs(lam_fold - bis_mid) / bis_mid
         ok = single_fold and stable_before and nu_at_fold <= 1e-3 and route_gap <= 1e-3

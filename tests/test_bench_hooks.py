@@ -9,7 +9,8 @@ same fold path as untraced ones, and its counting f' must pass the fold
 solve's complex step through: a traced curvature equals the plain one bit for
 bit.  The per-layer metrics also name public
 functions, such as `specfun.bessel_j_zeros`; a traced basis build checks
-that the zero search still records its one span.
+that the zero search still records its one span, and traced `spectral.evaluate`
+and `extension.riesz_potential_radial` calls check verify_n3's counts.
 """
 
 import importlib.util
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracgelfand import branchsolve, cli, spectral
+from fracgelfand import branchsolve, cli, extension, spectral
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -72,6 +73,26 @@ def test_traced_basis_build_counts_one_zero_search():
         tracer.uninstall()
     assert [sp.name for sp in tracer.spans].count("specfun.bessel_j_zeros") == 1
     assert tracer.metrics(1)["specfun.bessel_j_zeros.calls"][0] == 1
+
+
+def test_traced_evaluate_and_riesz_potential_count():
+    # verify_n3's per-layer counts: the evaluate hook reads its radii from the
+    # argument named rho, so a renamed argument would crash a traced run, and
+    # one Riesz call over several radii is one span
+    spans = _load_spans()
+    basis = spectral.build_basis(3, 0.5, 16)
+    u = spectral.analyze(basis, lambda rho: 1.0 - rho ** 2)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        spectral.evaluate(u, np.linspace(0.0, 0.9, 7))
+        extension.riesz_potential_radial(u, np.array([0.0, 0.5]))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(1)
+    assert metrics["spectral.evaluate.radii"][0] == 7
+    assert metrics["spectral.evaluate.calls"][0] == 1
+    assert metrics["extension.riesz_potential_radial.calls"][0] == 1
 
 
 def _traced_picard(spans, basis, lam):

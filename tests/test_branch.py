@@ -107,7 +107,7 @@ class TestMonotoneIteration:
             basis, np.linspace(0.25, 10.0, 40), fexp
         )
         with pytest.raises(branchsolve.DivergenceSignal):
-            branchsolve.monotone_iterate(basis, 2.0 * br.lambda_max, fexp)
+            branchsolve.monotone_iterate(basis, 2.0 * branchsolve.extremal_solution(br).lam, fexp)
 
     def test_negative_lambda_rejected(self, basis, fexp):
         with pytest.raises(ValueError):
@@ -300,7 +300,7 @@ class TestMonotoneIteration:
 def _walked_fold(basis, f):
     """lambda at the refined fold of the branch walked over estimate_lambda_star's grid."""
     br = branchsolve.continue_branch(basis, np.linspace(0.0, 12.0, 49)[1:], f)
-    return br.lambda_max
+    return branchsolve.extremal_solution(br).lam
 
 
 def _kept(basis):
@@ -621,10 +621,6 @@ class TestBranch:
         assert branch.fold_index is not None
         assert 0 < branch.fold_index < len(branch.points) - 1
 
-    def test_lambda_max_at_fold(self, branch):
-        lams = [p.lam for p in branch.points]
-        assert branch.points[branch.fold_index].lam == max(lams)
-
     def test_fold_eigenvalue_crossing(self, branch):
         # nu1 > 0 before the fold, < 0 after, ~0 at the refined fold point
         i = branch.fold_index
@@ -645,7 +641,7 @@ class TestBranch:
 
     def test_extremal_solution(self, branch):
         p = branchsolve.extremal_solution(branch)
-        assert p.lam == branch.lambda_max
+        assert p.lam == max(q.lam for q in branch.points)
 
 
 class TestFoldRefinement:
@@ -722,26 +718,59 @@ class TestLambdaStar:
         assert lo <= 2.0 * 1.01 and hi >= 2.0 * 0.99
         assert 0.5 * (lo + hi) == pytest.approx(2.0, rel=5e-3)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n, s", [(2, 0.5), (3, 0.5), (5, 0.3), (6, 0.7)])
+    def test_power_nonlinearity_amplitude_stability(self, n, s, p):
+        # criterion 7 for f = (1 + u)^p: the Picard bracket holds the solved
+        # fold, and the fold amplitude moves by less than 2 % from K = 128 to
+        # 256.  Measured: at most 1.3e-5
+        f = branchsolve.power(p)
+        amps = []
+        for K in (128, 256):
+            lo, hi, br = branchsolve.estimate_lambda_star(spectral.build_basis(n, s, K), f)
+            fold = branchsolve.extremal_solution(br)
+            assert lo <= fold.lam <= hi
+            amps.append(branchsolve.amplitude(fold.u))
+        assert abs(amps[1] - amps[0]) / amps[0] < 0.02
+
     def test_fractional_bracket_consistency(self, basis, fexp):
         lo, hi, br = branchsolve.estimate_lambda_star(
             basis, fexp, t_max=10.0, t_steps=40
         )
         assert lo < hi
-        assert hi - lo < 2e-3 * br.lambda_max + 1e-12
-        assert lo * 0.999 <= br.lambda_max <= hi * 1.001
+        lam_fold = branchsolve.extremal_solution(br).lam
+        assert hi - lo < 2e-3 * lam_fold + 1e-12
+        assert lo * 0.999 <= lam_fold <= hi * 1.001
 
-    def test_upper_bracket_growth_is_bounded(self, basis, fexp, monkeypatch):
-        # an iteration that never diverges must end the search with an error
+    def test_upper_end_is_checked_once(self, basis, fexp, monkeypatch):
+        # an iteration that never diverges fails at 1.05 times the fold, the
+        # second of its two calls
         calls = []
 
         def always_converges(basis, lam, f, max_iter=4000):
             calls.append(lam)
-            assert len(calls) < 200, "upper bracket search does not stop"
             return spectral.RadialCoeffs(basis, np.zeros(basis.K))
 
         monkeypatch.setattr(branchsolve, "monotone_iterate", always_converges)
-        with pytest.raises(RuntimeError, match="converges up to"):
+        with pytest.raises(branchsolve.BranchError, match="converges at lambda=") as err:
             branchsolve.estimate_lambda_star(basis, fexp, t_max=10.0, t_steps=40)
+        lam_fold = branchsolve.extremal_solution(err.value.branch).lam
+        assert calls == [lam_fold * (1.0 - 2.0 * branchsolve.BRACKET_REL_TOL),
+                         lam_fold * 1.05]
+
+    def test_lower_end_is_checked_once(self, basis, fexp, monkeypatch):
+        # an iteration that never converges fails at the lower end, its only call
+        calls = []
+
+        def always_diverges(basis, lam, f, max_iter=4000):
+            calls.append(lam)
+            raise branchsolve.DivergenceSignal(lam, 1, float("inf"), exhausted=False)
+
+        monkeypatch.setattr(branchsolve, "monotone_iterate", always_diverges)
+        with pytest.raises(branchsolve.BranchError, match="diverges at lambda=") as err:
+            branchsolve.estimate_lambda_star(basis, fexp, t_max=10.0, t_steps=40)
+        lam_fold = branchsolve.extremal_solution(err.value.branch).lam
+        assert calls == [lam_fold * (1.0 - 2.0 * branchsolve.BRACKET_REL_TOL)]
 
 
 class TestPicardBisect:

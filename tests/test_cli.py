@@ -162,7 +162,8 @@ class TestCli:
     def test_branch_records_failed_fold_refinement(self, tmp_path, monkeypatch):
         # the walked points are written once, and the summary names the failure
         def fails(basis, br, f):
-            raise branchsolve.NewtonError("Newton did not converge at t=1.5 (injected)")
+            raise branchsolve.BranchError(
+                "fold refinement failed: Newton did not converge at t=1.5 (injected)", br)
 
         walks = _count_walks(monkeypatch)
         monkeypatch.setattr(branchsolve, "_refine_fold", fails)
@@ -327,7 +328,8 @@ class TestCli:
     def test_verify_walks_a_failing_branch_once(self, tmp_path, monkeypatch):
         # every branch check records the error of the one walk
         def fails(basis, br, f):
-            raise branchsolve.NewtonError("Newton did not converge at t=1.5 (injected)")
+            raise branchsolve.BranchError(
+                "fold refinement failed: Newton did not converge at t=1.5 (injected)", br)
 
         names = ["riesz_bound", "radial_monotonicity", "weighted_key_estimate",
                  "stability_weighted_inequality", "exp_decay_y", "phi1_identity"]

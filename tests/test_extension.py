@@ -234,13 +234,16 @@ class TestPoissonConstant:
 
 
 class TestAngularKernel:
-    """extension._angular_kernel, T = int_0^pi sin^(n-2) t (x^2 + r^2 - 2xr cos t)^(s-n/2) dt."""
+    """extension._angular_kernel, big^(n-1) T with big = max(x, r) and
+    T = int_0^pi sin^(n-2) t (x^2 + r^2 - 2xr cos t)^(s-n/2) dt."""
 
     X = 0.5
 
     @classmethod
     def _kernel(cls, n, s, r, delta):
-        return extension._angular_kernel(n, s, np.array([max(cls.X, r)]), np.array([delta]))[0]
+        """T."""
+        big = max(cls.X, r)
+        return extension._angular_kernel(n, s, np.array([big]), np.array([delta]))[0] / big ** (n - 1.0)
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.5 + 1e-6, 0.5 - 1e-9, 0.51])
     @pytest.mark.parametrize("delta", [1e-12, 1e-6, 1e-2, 0.3])
@@ -355,6 +358,32 @@ class TestRieszPotential:
             4.0 * math.pi * ref, rel=2e-4
         )
 
+    @pytest.mark.parametrize("n, s, K", [(20, 0.5, 64), (3, 0.05, 16), (10, 0.3, 512)])
+    def test_center_value_at_far_powers(self, n, s, K):
+        # next to the axis r^(n-1) underflows and r^(2s-n) overflows at n = 20
+        # and at (10, 0.3, 512); at s = 0.05 delta^2 underflows.  R(h)(0) =
+        # |S^(n-1)| int_0^1 |h(r)| r^(2s-1) dr, by quad split at the zeros of h
+        # and with quad's algebraic weight on the first piece
+        b = spectral.build_basis(n, s, K)
+        h = spectral.unit(b, 1)
+        grid = np.linspace(0.0, 1.0, 2001)
+        v = spectral.evaluate(h, grid)
+        edges = [0.0] + [
+            optimize.brentq(lambda r: spectral.evaluate(h, r), grid[i], grid[i + 1],
+                            xtol=1e-15, rtol=1e-15)
+            for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)
+        ] + [1.0]
+        ref = integrate.quad(lambda r: abs(spectral.evaluate(h, r)), 0.0, edges[1], weight="alg",
+                             wvar=(2.0 * s - 1.0, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        ref += sum(
+            integrate.quad(lambda r: abs(spectral.evaluate(h, r)) * r ** (2.0 * s - 1.0), a, c,
+                           epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for a, c in zip(edges[1:-1], edges[2:])
+        )
+        assert extension.riesz_potential_radial(h, 0.0) == pytest.approx(
+            spectral.sphere_area(n) * ref, rel=1e-12
+        )
+
     @staticmethod
     def _log_kernel_oracle(h, x):
         # n = 3, s = 1/2: (2 pi / x) int_0^1 r |h(r)| log((r + x) / |r - x|) dr
@@ -421,25 +450,28 @@ class TestRieszPotential:
             edges = np.unique(np.concatenate([edges, splits]))
             d, wd = map(np.ravel, spectral._gauss_rule(32, edges[:-1], edges[1:]))
             r = x + side * d
-            w = area * wd * r ** (b.n - 1.0) * extension._angular_kernel(
-                b.n, b.s, np.maximum(r, x), d)
+            big = np.maximum(r, x)
+            w = area * wd * (r / big) ** (b.n - 1.0) * extension._angular_kernel(b.n, b.s, big, d)
             total += float(np.abs(spectral.evaluate(h, r)) @ w)
         return total
 
-    def test_kinked_h_next_to_the_axis(self):
-        # at (6, 1/2 + 1e-6, 64) the projected h = lambda P[f(u)] of the stable
-        # points rings next to the axis and changes sign there; no rule blind to
-        # h converges faster than algebraically at its kinks.  Measured at
-        # x = 0.02: at most 9.3e-6 relative over the five traces
-        cfg = config.ExperimentConfig(n=6, s=0.5 + 1e-6, modes=64)
+    @pytest.mark.parametrize("x, bound", [(0.0, 1e-5), (0.02, 1.6e-5)], ids=["x=0", "x=0.02"])
+    @pytest.mark.parametrize("n, s", [(6, 0.5 + 1e-6), (5, 0.3)], ids=["n=6", "n=5"])
+    def test_kinked_h_next_to_the_axis(self, n, s, x, bound):
+        # at (6, 1/2 + 1e-6, 64) and (5, 0.3, 64) the projected h = lambda
+        # P[f(u)] of the stable points rings next to the axis and changes sign
+        # there; no rule blind to h converges faster than algebraically at its
+        # kinks.  Measured, at most relative over the five traces: 2.5e-6 and
+        # 4.8e-6 at x = 0; 9.3e-6 and 1.4e-5 at x = 0.02
+        cfg = config.ExperimentConfig(n=n, s=s, modes=64)
         b = spectral.build_basis(cfg.n, cfg.s, cfg.modes)
         f = cfg.nonlinearity()
         points = checks.stable_points(branchsolve._walk(b, f, cfg.t_max, cfg.t_steps), 5)
         term = branchsolve._NonlinearTerm(b, f)
         hs = [spectral.RadialCoeffs(b, p.lam * term.project(p.u.c)[1]) for p in points]
-        got = extension.riesz_potential_radial(hs, 0.02)
-        ref = np.array([self._split_reference(h, 0.02) for h in hs])
-        assert np.max(np.abs(got - ref) / ref) <= 1.6e-5
+        got = extension.riesz_potential_radial(hs, x)
+        ref = np.array([self._split_reference(h, x) for h in hs])
+        assert np.max(np.abs(got - ref) / ref) <= bound
 
     @staticmethod
     def _shell_rule(n, s, x):
