@@ -9,6 +9,16 @@ solves the degenerate Bessel ODE selecting the decaying branch.  The weighted
 flux -y^(1-2s) g_k'(y) tends to flux_constant(s) * mu_k^s at y = 0, which is
 what realizes the fractional Laplacian as a boundary operator.
 
+The weighted integrals of the extension are quadratic forms in the trace
+coefficients c.  v_rho = sum_k c_k phi_k'(rho) g_k(y) separates in rho and
+y, and so does the cutoff eta = rad(rho) psi(y) with its derivatives, so an
+integral of w_r(rho) a(rho) w_y(y) b(y) v_rho^2 over the two rules is
+c^T (P_a o G_b) c, with the K x K moment matrices P_a = Phi' diag(w_r a) Phi'^T
+and G_b = g diag(w_y b) g^T and o the entrywise product (positive
+semidefinite by the Schur product theorem).  A call builds its matrices once,
+in O(K^2 (N_rho + N_y)), and each trace then costs a K x K form, where a
+per-trace N_rho x N_y grid of v_rho costs O(K N_rho N_y).
+
 The Riesz potential of |h| (`riesz_potential_radial`) is one radial integral
 against the closed-form sphere mean of its kernel.  Its panels away from each
 target radius form one base grid shared by every radius, so one table of
@@ -25,6 +35,7 @@ import numpy as np
 from scipy import special
 
 from . import spectral
+from .spectral import sphere_area
 from .specfun import gamma
 
 
@@ -52,20 +63,30 @@ def flux_constant_analytic(s):
     return 2.0 ** (1.0 - 2.0 * s) * gamma(1.0 - s) / gamma(s)
 
 
-def _profile_tables(basis, y):
-    """(K, len(y)) tables of g_k and g_k' at the given heights y > 0.
+def _profile_args(basis, y):
+    """(norms, roots, t) for the profile tables at the heights y > 0: the
+    norms 2 (sqrt(mu_k)/2)^s / Gamma(s) and sqrt(mu_k) as (K, 1) columns,
+    and t = sqrt(mu_k) y as a (K, len(y)) table.  The norms invert the
+    small-argument limit Gamma(s)/2 (sqrt(mu_k)/2)^(-s) of y^s K_s(sqrt(mu_k) y),
+    so that g_k(0+) = 1."""
+    roots = np.sqrt(basis.mu)[:, None]
+    norms = 2.0 * (roots / 2.0) ** basis.s / gamma(basis.s)
+    return norms, roots, roots * np.asarray(y, dtype=float)[None, :]
 
-    The norms invert the small-argument limit Gamma(s)/2 (sqrt(mu_k)/2)^(-s)
-    of y^s K_s(sqrt(mu_k) y), so that g_k(0+) = 1; g_k' follows from
-    d/dt [t^s K_s(t)] = -t^s K_{1-s}(t).
-    """
+
+def _profile_table(basis, y):
+    """(K, len(y)) table of g_k at the heights y > 0."""
     s = basis.s
-    roots = np.sqrt(basis.mu)
-    norms = 2.0 * (roots / 2.0) ** s / gamma(s)
-    t = roots[:, None] * np.asarray(y, dtype=float)[None, :]
-    g = norms[:, None] * t ** s * special.kv(s, t) / roots[:, None] ** s
-    gp = -norms[:, None] * roots[:, None] ** (1.0 - s) * t ** s * special.kv(1.0 - s, t)
-    return g, gp
+    norms, roots, t = _profile_args(basis, y)
+    return norms * t ** s * special.kv(s, t) / roots ** s
+
+
+def _profile_deriv_table(basis, y):
+    """(K, len(y)) table of g_k' at the heights y > 0, from
+    d/dt [t^s K_s(t)] = -t^s K_{1-s}(t)."""
+    s = basis.s
+    norms, roots, t = _profile_args(basis, y)
+    return -norms * roots ** (1.0 - s) * t ** s * special.kv(1.0 - s, t)
 
 
 def flux_constant(s):
@@ -83,7 +104,7 @@ def flux_constant(s):
     for k in (1, 2, 5):
         root = math.sqrt(basis.mu[k - 1])
         ys = 0.05 / root * 0.5 ** np.arange(8)
-        gp = _profile_tables(basis, ys)[1][k - 1]
+        gp = _profile_deriv_table(basis, ys)[k - 1]
         F = -(ys ** (1.0 - 2.0 * s)) * gp / basis.mu[k - 1] ** s
         F = list(F)
         r = 0.5
@@ -108,7 +129,7 @@ def extension_eval(u, rho, y):
     rho = np.asarray(rho, dtype=float)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     phi = basis.phi_matrix(np.atleast_1d(rho))
-    g, _ = _profile_tables(basis, np.where(y_arr > 0, y_arr, 1.0))
+    g = _profile_table(basis, np.where(y_arr > 0, y_arr, 1.0))
     g = np.where(y_arr[None, :] > 0, g, 1.0)
     vals = np.einsum("k,kr,ky->ry", u.c, phi, g)
     if np.ndim(rho) == 0 and np.ndim(y) == 0:
@@ -116,7 +137,7 @@ def extension_eval(u, rho, y):
     return vals.squeeze()
 
 
-def vertical_grid(basis, panels=48, y_max=None):
+def _vertical_grid(basis, panels=48, y_max=None):
     """Graded vertical quadrature for the y^(1-2s) weight.
 
     Substituting y = Y t^(1/(1-s)) turns y^(1-2s) dy into a linear-in-t
@@ -134,26 +155,38 @@ def vertical_grid(basis, panels=48, y_max=None):
     return y, wy
 
 
+def _moments(table, weights):
+    """The (K, K) moment matrix table diag(weights) table^T of a (K, N)
+    table of basis values at N quadrature nodes."""
+    return (table * weights) @ table.T
+
+
+def _forms(us, M):
+    """c^T M c for the coefficients c of each trace, one K x K form each,
+    computed the same way for one trace as for many."""
+    return [float(v.c @ (M @ v.c)) for v in us]
+
+
 def extension_energy(u):
     """Weighted Dirichlet energy int_C y^(1-2s) |grad v|^2 dx dy of the
     extension v of the trace u.
 
     Tensorized quadrature: the basis radial rule times the graded vertical
-    rule.  Softly checks against the spectral identity c(s) * ||u||_H^2.
+    rule.  v_rho = sum_k c_k phi_k' g_k and v_y = sum_k c_k phi_k g_k' are
+    separable, so the integral is the form c^T M c with
+    M = (Phi' W Phi'^T) o (g W_y g^T) + (Phi W Phi^T) o (g' W_y g'^T), o the
+    entrywise product of K x K moment matrices over the two rules.
+    Softly checks against the spectral identity c(s) * ||u||_H^2.
     """
     basis = u.basis
-    y, wy = vertical_grid(basis)
-    g, gp = _profile_tables(basis, y)
-    c = u.c
+    y, wy = _vertical_grid(basis)
     # radial integrals against the volume weight are diagonal by orthonormality
     # only through phi; use explicit node tables to stay an independent route.
-    phi = basis.phi_table
-    dphi = basis.phi_prime_matrix(basis.quad_nodes)
-    v_rho = (c[:, None] * dphi).T @ g      # (Q_r, Q_y)
-    v_y = (c[:, None] * phi).T @ gp
     wr = basis.quad_weights
-    integrand = v_rho ** 2 + v_y ** 2
-    return float(wr @ integrand @ wy)
+    dphi = basis.phi_prime_matrix(basis.quad_nodes)
+    M = (_moments(dphi, wr) * _moments(_profile_table(basis, y), wy)
+         + _moments(basis.phi_table, wr) * _moments(_profile_deriv_table(basis, y), wy))
+    return _forms([u], M)[0]
 
 
 def _smoothstep(t):
@@ -167,10 +200,11 @@ def _smoothstep_deriv(t):
 
 
 def _cutoff_parts(spec, rho, y):
-    """eta(rho, y) = rho^(1-alpha) zeta_eps(rho) psi_R(y) on the grid rho x y,
-    with smoothstep ramps S(t) = t^2 (3 - 2t), and its two partial
-    derivatives in closed form from S'(t) = 6 t (1 - t).  Returns
-    (eta, d eta/d rho, d eta/d y), each of shape (len(rho), len(y)).
+    """The factors of the cutoff eta(rho, y) = rad(rho) psi_R(y), with
+    rad = rho^(1-alpha) zeta_eps(rho) and smoothstep ramps
+    S(t) = t^2 (3 - 2t), and their derivatives in closed form from
+    S'(t) = 6 t (1 - t).  Returns (rad, d rad/d rho) over rho and
+    (psi, d psi/d y) over y; grad eta = (rad' psi, rad psi').
     """
     a = (rho - spec.epsilon) / spec.epsilon
     b = (0.75 - rho) / 0.25
@@ -184,11 +218,7 @@ def _cutoff_parts(spec, rho, y):
     d_pref = (1.0 - spec.alpha) * safe ** (-spec.alpha)
     psi = _smoothstep(spec.R + 1.0 - y)
     d_psi = -_smoothstep_deriv(spec.R + 1.0 - y)
-    radial = (pref * zeta)[:, None]
-    eta = radial * psi[None, :]
-    d_rho = (d_pref * zeta + pref * d_zeta)[:, None] * psi[None, :]
-    d_y = radial * d_psi[None, :]
-    return eta, d_rho, d_y
+    return pref * zeta, d_pref * zeta + pref * d_zeta, psi, d_psi
 
 
 def _traces(u):
@@ -208,30 +238,27 @@ def weighted_vrho_integral(u, spec):
     extension v of the trace u.
 
     u is one RadialCoeffs, giving a float, or a sequence of them on one
-    basis, giving an array with one integral per trace; the vertical rule,
-    the profile table and the two radial tables are built once per call.
-    Radial quadrature is graded toward the axis (v_rho = O(rho) keeps the
-    integrand integrable for alpha < 1 + sqrt(n-1)); stability under
-    refinement is checked for every trace and a divergence flag raised
-    otherwise.
+    basis, giving an array with one integral per trace.  The integral is
+    the form c^T (P o G) c in the trace coefficients c, with the radial
+    moments P = Phi' diag(w_r) Phi'^T and the vertical ones
+    G = g diag(w_y) g^T; the matrices are built once per call, and each
+    trace costs one K x K form.  Radial quadrature is graded toward the
+    axis (v_rho = O(rho) keeps the integrand integrable for
+    alpha < 1 + sqrt(n-1)); stability under refinement is checked for
+    every trace and a divergence flag raised otherwise.
     """
     us, single = _traces(u)
     basis = us[0].basis
-    y, wy = vertical_grid(basis, panels=32)
-    g, _ = _profile_tables(basis, y)
+    y, wy = _vertical_grid(basis, panels=32)
+    G = _moments(_profile_table(basis, y), wy)
     vals = []
     for m in (400, 800):
         t, tw = spectral._gauss_rule(m, 0.0, 1.0)
         # rho = 0.5 t^4 clusters nodes at the axis
         rho = 0.5 * t ** 4
         drho = 0.5 * 4.0 * t ** 3 * tw
-        dphi = basis.phi_prime_matrix(rho)
-        wr = (
-            spectral.sphere_area(basis.n)
-            * rho ** (basis.n - 1.0 - 2.0 * spec.alpha)
-            * drho
-        )
-        vals.append([float(wr @ ((v.c[:, None] * dphi).T @ g) ** 2 @ wy) for v in us])
+        wr = sphere_area(basis.n) * rho ** (basis.n - 1.0 - 2.0 * spec.alpha) * drho
+        vals.append(_forms(us, _moments(basis.phi_prime_matrix(rho), wr) * G))
     for coarse, fine in zip(*vals):
         if coarse != 0.0 and abs(fine - coarse) > 5e-3 * abs(fine):
             raise QuadratureError(
@@ -247,30 +274,28 @@ def stability_weighted_inequality(u, spec):
     Returns (lhs, rhs) with lhs = int y^(1-2s) v_rho^2 |grad eta|^2 and
     rhs = (n-1) int y^(1-2s) v_rho^2 eta^2 / rho^2; semi-stability of the
     trace forces lhs >= rhs.  u is one RadialCoeffs, giving the tuple, or a
-    sequence of them on one basis, giving an array of (lhs, rhs) rows; the
-    rule, the profile and phi' tables and the cutoff are built once per call.
+    sequence of them on one basis, giving an array of (lhs, rhs) rows.
+    eta = rad(rho) psi(y) and |grad eta|^2 = rad'^2 psi^2 + rad^2 psi'^2
+    separate in rho and y, so each side is a form c^T M c in the trace
+    coefficients c, M a sum of entrywise products of radial moments
+    Phi' diag(w_r a) Phi'^T and vertical ones g diag(w_y b) g^T; the
+    matrices are built once per call, and each trace costs two K x K forms.
     """
     us, single = _traces(u)
     basis = us[0].basis
     t, tw = spectral._gauss_rule(600, 0.0, 1.0)
     rho = t ** 3          # graded toward the axis, covers (0, 1)
     drho = 3.0 * t ** 2 * tw
-    y, wy = vertical_grid(basis, y_max=spec.R + 1.5)
-    g, _ = _profile_tables(basis, y)
+    y, wy = _vertical_grid(basis, y_max=spec.R + 1.5)
+    g = _profile_table(basis, y)
     dphi = basis.phi_prime_matrix(rho)
-    # eta^2 and |grad eta|^2 = eta_rho^2 + eta_y^2, squared in place so
-    # that the loop over the traces holds two cutoff grids
-    eta2, grad2, eta_y2 = [np.square(part, out=part) for part in _cutoff_parts(spec, rho, y)]
-    grad2 += eta_y2
-    del eta_y2
-    rho2 = rho[:, None] ** 2
-    wr = spectral.sphere_area(basis.n) * rho ** (basis.n - 1.0) * drho
-    sides = []
-    for v in us:
-        v2 = ((v.c[:, None] * dphi).T @ g) ** 2
-        lhs = float(wr @ (v2 * grad2) @ wy)
-        rhs = (basis.n - 1.0) * float(wr @ (v2 * eta2 / rho2) @ wy)
-        sides.append((lhs, rhs))
+    rad, d_rad, psi, d_psi = _cutoff_parts(spec, rho, y)
+    wr = sphere_area(basis.n) * rho ** (basis.n - 1.0) * drho
+    psi2 = _moments(g, wy * psi ** 2)
+    lhs = (_moments(dphi, wr * d_rad ** 2) * psi2
+           + _moments(dphi, wr * rad ** 2) * _moments(g, wy * d_psi ** 2))
+    rhs = _moments(dphi, wr * (rad / rho) ** 2) * psi2
+    sides = [(a, (basis.n - 1.0) * b) for a, b in zip(_forms(us, lhs), _forms(us, rhs))]
     return sides[0] if single else np.array(sides)
 
 
@@ -464,7 +489,7 @@ def _riesz_samples(n, s, K, xs):
     """
     if not 0.0 < s < 1.0:
         raise ValueError("need s in (0, 1)")
-    area = spectral.sphere_area(n - 1)
+    area = sphere_area(n - 1)
     # at most 300 levels, so that the innermost panel stays a normal number
     levels = min(math.ceil(math.log(1e-16) / (min(2.0 * s, 1.0) * math.log(_RIESZ_GRADING))), 300)
     edges = _base_edges(K)

@@ -19,11 +19,12 @@ import numpy as np
 from scipy import special
 
 from . import specfun
+from .specfun import gamma
 
 
 def sphere_area(n):
     """Surface area of the unit sphere S^{n-1} in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / specfun.gamma(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
 
 
 @dataclass(frozen=True)

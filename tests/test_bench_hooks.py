@@ -10,7 +10,9 @@ solve's complex step through: a traced curvature equals the plain one bit for
 bit.  The per-layer metrics also name public
 functions, such as `specfun.bessel_j_zeros`; a traced basis build checks
 that the zero search still records its one span, and traced `spectral.evaluate`
-and `extension.riesz_potential_radial` calls check verify_n3's counts.
+and `extension.riesz_potential_radial` calls check verify_n3's counts.  The
+weighted extension integrals call no traced function, so that their
+`.self_s` metrics hold all of their work.
 """
 
 import importlib.util
@@ -93,6 +95,30 @@ def test_traced_evaluate_and_riesz_potential_count():
     assert metrics["spectral.evaluate.radii"][0] == 7
     assert metrics["spectral.evaluate.calls"][0] == 1
     assert metrics["extension.riesz_potential_radial.calls"][0] == 1
+
+
+def test_traced_extension_integrals_record_one_span_each():
+    # a public helper called from inside an integral would be a child span,
+    # and its time would leave the integral's .self_s metric
+    spans = _load_spans()
+    basis = spectral.build_basis(3, 0.5, 16)
+    u = spectral.analyze(basis, lambda rho: 1.0 - rho ** 2)
+    spec = extension.CutoffSpec(alpha=1.0, epsilon=0.05, R=3.0)
+    calls = {
+        "extension.stability_weighted_inequality":
+            lambda: extension.stability_weighted_inequality([u, u], spec),
+        "extension.weighted_vrho_integral": lambda: extension.weighted_vrho_integral(u, spec),
+        "extension.extension_energy": lambda: extension.extension_energy(u),
+    }
+    for name, call in calls.items():
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            call()
+        finally:
+            tracer.uninstall()
+        assert [(sp.name, sp.parent) for sp in tracer.spans] == [(name, None)]
+        assert tracer.metrics(1)[f"{name}.self_s"][0] > 0.0
 
 
 def _traced_picard(spans, basis, lam):

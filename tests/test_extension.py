@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ def basis3():
 def _profile(basis, k, y, deriv=False):
     """g_k(y), or g_k'(y), at heights y > 0 from the extension's profile tables."""
     y = np.asarray(y, dtype=float)
-    g, gp = extension._profile_tables(basis, np.atleast_1d(y))
-    return (gp if deriv else g)[k - 1].reshape(y.shape)
+    table = extension._profile_deriv_table if deriv else extension._profile_table
+    return table(basis, np.atleast_1d(y))[k - 1].reshape(y.shape)
 
 
 class TestProfile:
@@ -143,13 +144,13 @@ class TestWeightedIntegrals:
         rho = rho[np.min(np.abs(rho[:, None] - [0.05, 0.1, 0.5, 0.75]), axis=1) > 1e-3]
         y = np.linspace(0.1, 4.9, 97)
         y = y[np.min(np.abs(y[:, None] - [3.0, 4.0]), axis=1) > 1e-3]
-        _, d_rho, d_y = extension._cutoff_parts(spec, rho, y)
+        _, d_rad, _, d_psi = extension._cutoff_parts(spec, rho, y)
         h = 1e-6
-        fd_rho = (extension._cutoff_parts(spec, rho + h, y)[0]
-                  - extension._cutoff_parts(spec, rho - h, y)[0]) / (2 * h)
-        fd_y = (extension._cutoff_parts(spec, rho, y + h)[0]
-                - extension._cutoff_parts(spec, rho, y - h)[0]) / (2 * h)
-        for exact, fd in ((d_rho, fd_rho), (d_y, fd_y)):
+        plus = extension._cutoff_parts(spec, rho + h, y + h)
+        minus = extension._cutoff_parts(spec, rho - h, y - h)
+        fd_rad = (plus[0] - minus[0]) / (2 * h)
+        fd_psi = (plus[2] - minus[2]) / (2 * h)
+        for exact, fd in ((d_rad, fd_rad), (d_psi, fd_psi)):
             assert np.max(np.abs(exact)) > 1.0
             np.testing.assert_allclose(exact, fd, rtol=1e-7, atol=1e-12)
 
@@ -212,6 +213,87 @@ class TestBatchedWeightedIntegrals:
         assert vals[1] == 0.0 and vals[0] > 0.0 and vals[2] > 0.0
         sides = extension.stability_weighted_inequality([u, zero, w], stab_spec)
         assert tuple(sides[1]) == (0.0, 0.0) and np.all(sides[[0, 2]] > 0.0)
+
+
+@functools.cache
+def _walked_traces(n, s, K):
+    """The traces of the five stable points that `verify` takes at (n, s, K)."""
+    cfg = config.ExperimentConfig(n=n, s=s, modes=K)
+    b = spectral.build_basis(n, s, K)
+    br = branchsolve._walk(b, cfg.nonlinearity(), cfg.t_max, cfg.t_steps)
+    return tuple(p.u for p in checks.stable_points(br, 5))
+
+
+class TestQuadraticForms:
+    """The weighted integrals as forms c^T M c against the grid sums they
+    replaced: the same rules, with v_rho (and v_y) formed on the whole
+    (rho, y) grid per trace and the cutoff as the grid of rad(rho) psi(y)."""
+
+    @staticmethod
+    def _stability_grid(u, spec):
+        basis = u.basis
+        t, tw = spectral._gauss_rule(600, 0.0, 1.0)
+        rho = t ** 3
+        drho = 3.0 * t ** 2 * tw
+        y, wy = extension._vertical_grid(basis, y_max=spec.R + 1.5)
+        g = extension._profile_table(basis, y)
+        rad, d_rad, psi, d_psi = extension._cutoff_parts(spec, rho, y)
+        eta2 = np.outer(rad, psi) ** 2
+        grad2 = np.outer(d_rad, psi) ** 2 + np.outer(rad, d_psi) ** 2
+        v2 = ((u.c[:, None] * basis.phi_prime_matrix(rho)).T @ g) ** 2
+        wr = spectral.sphere_area(basis.n) * rho ** (basis.n - 1.0) * drho
+        return (wr @ (v2 * grad2) @ wy,
+                (basis.n - 1.0) * (wr @ (v2 * eta2 / rho[:, None] ** 2) @ wy))
+
+    @staticmethod
+    def _vrho_grid(u, spec):
+        basis = u.basis
+        y, wy = extension._vertical_grid(basis, panels=32)
+        g = extension._profile_table(basis, y)
+        t, tw = spectral._gauss_rule(800, 0.0, 1.0)
+        rho = 0.5 * t ** 4
+        drho = 0.5 * 4.0 * t ** 3 * tw
+        wr = spectral.sphere_area(basis.n) * rho ** (basis.n - 1.0 - 2.0 * spec.alpha) * drho
+        return wr @ ((u.c[:, None] * basis.phi_prime_matrix(rho)).T @ g) ** 2 @ wy
+
+    @staticmethod
+    def _energy_grid(u):
+        basis = u.basis
+        y, wy = extension._vertical_grid(basis)
+        dphi = basis.phi_prime_matrix(basis.quad_nodes)
+        v_rho = (u.c[:, None] * dphi).T @ extension._profile_table(basis, y)
+        v_y = (u.c[:, None] * basis.phi_table).T @ extension._profile_deriv_table(basis, y)
+        return basis.quad_weights @ (v_rho ** 2 + v_y ** 2) @ wy
+
+    def _assert_forms_match_grid(self, us):
+        n = us[0].basis.n
+        key_spec = extension.CutoffSpec(alpha=1.0 + math.sqrt(n - 1.0) - 0.1, epsilon=0.01, R=5.0)
+        stab_spec = extension.CutoffSpec(alpha=1.0, epsilon=0.05, R=3.0)
+        sides = extension.stability_weighted_inequality(us, stab_spec)
+        ref = np.array([self._stability_grid(u, stab_spec) for u in us])
+        assert np.all(ref > 0.0)
+        np.testing.assert_allclose(sides, ref, rtol=1e-12, atol=0.0)
+        vals = extension.weighted_vrho_integral(us, key_spec)
+        np.testing.assert_allclose(vals, [self._vrho_grid(u, key_spec) for u in us],
+                                   rtol=1e-12, atol=0.0)
+        for u in us:
+            assert extension.extension_energy(u) == pytest.approx(self._energy_grid(u),
+                                                                  rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, s, K", [(2, 0.7, 32), (3, 0.5, 64), (5, 0.3, 64), (6, 0.7, 64)])
+    def test_walked_points_match_the_grid_sums(self, n, s, K):
+        self._assert_forms_match_grid(list(_walked_traces(n, s, K)))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("K", [16, 64])
+    @pytest.mark.parametrize("n, s", [(2, 0.7), (3, 0.5), (5, 0.3)])
+    def test_rough_traces_match_the_grid_sums(self, n, s, K, p):
+        # coefficients ~ k^(-p): at p = 0 every mode counts as much as the first
+        b = spectral.build_basis(n, s, K)
+        rng = np.random.default_rng(100 * n + K + p)
+        k = np.arange(1, K + 1)
+        self._assert_forms_match_grid(
+            [spectral.RadialCoeffs(b, rng.normal(size=K) / k ** p) for _ in range(3)])
 
 
 class TestPoissonConstant:
