@@ -14,7 +14,9 @@ amplitude, lambda pinned, and the fold function.  All three build their J
 block from the nonlinear term's F; only continuation leaves out the sigma
 factor of the exact Jacobian F diag(sigma) (`_NonlinearTerm.jacobian`).
 Continuation and the certificate take chord steps, the fold solve full
-steps.  Continuation and the fold solve stop at NEWTON_TOL, the certificate
+steps.  A walk builds F about once a point: nu1 at each converged point is
+computed on an F (`_nu1`), and the next point's chord steps start from that
+same F.  Continuation and the fold solve stop at NEWTON_TOL, the certificate
 at the residual's rounding level (CERTIFY_FLOOR); the certificate tests
 nu1 > 0 by a Cholesky factorization (`_is_stable`), not an eigenvalue.
 Every Picard step and every Newton check reads the basis table once: the
@@ -260,22 +262,36 @@ def _gram(phi, g):
     return b_pos @ b_pos.T - b_neg @ b_neg.T
 
 
-def _stability_form(basis, term, lam, nodes):
-    """diag(mu^s) - lambda sigma^(1/2) F sigma^(1/2) at the kept-node values nodes.
+def _stability_form(basis, term, lam, F):
+    """diag(mu^s) - lambda sigma^(1/2) F sigma^(1/2), in one new array.
 
-    F is the nonlinear term's derivative (`_NonlinearTerm.derivative`).  The
-    matrix is similar to diag(mu^s) - lambda F diag(sigma), the Jacobian of
-    `residual`, and symmetric.
+    F is the nonlinear term's derivative (`_NonlinearTerm.derivative`) and is
+    left as it is.  The matrix is similar to diag(mu^s) - lambda F
+    diag(sigma), the Jacobian of `residual`, and symmetric.
     """
     root = np.sqrt(term.sigma)
-    return np.diag(basis.mu ** basis.s) - lam * (root[:, None] * term.derivative(nodes) * root)
+    A = root[:, None] * F
+    A *= root
+    A *= -lam
+    A[np.diag_indices_from(A)] += basis.mu ** basis.s
+    return A
+
+
+def _nu1(basis, term, lam, c):
+    """(nu1, F) at the coefficients c: the smallest eigenvalue of the Jacobian
+    of `residual`, by `eigh` on `_stability_form`, and the F it was built on.
+
+    The one implementation of nu1: `stability_eigenvalue` wraps it, and
+    `newton_solve` calls it on its own term, so that a walk can hand F on.
+    """
+    F = term.derivative(term.project(c)[0])
+    A = _stability_form(basis, term, lam, F)
+    return float(linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 0), overwrite_a=True)[0]), F
 
 
 def stability_eigenvalue(u, lam, f):
-    """Smallest eigenvalue nu1 of the Jacobian of `residual`, by `eigh` on `_stability_form`."""
-    term = _NonlinearTerm(u.basis, f)
-    A = _stability_form(u.basis, term, lam, term.project(u.c)[0])
-    return float(linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 0), overwrite_a=True)[0])
+    """Smallest eigenvalue nu1 of the Jacobian of `residual` at (u, lam) (`_nu1`)."""
+    return _nu1(u.basis, _NonlinearTerm(u.basis, f), lam, u.c)[0]
 
 
 def _is_stable(basis, term, lam, nodes):
@@ -288,7 +304,8 @@ def _is_stable(basis, term, lam, nodes):
     K = 1024.
     """
     try:
-        linalg.cholesky(_stability_form(basis, term, lam, nodes), overwrite_a=True)
+        linalg.cholesky(_stability_form(basis, term, lam, term.derivative(nodes)),
+                        overwrite_a=True)
     except linalg.LinAlgError:
         return False
     return True
@@ -352,7 +369,10 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord, stall):
     step solves with [[J, -P[f(u~)]], [row, corner]], J = diag(mu^s) -
     lambda G, factored in place in one Fortran-ordered (K+1)^2 buffer.
     G = block(nodes) is the term's F diag(sigma), or in continuation F
-    alone, which differs from it only by the sigma factor.  `assemble()`
+    alone, which differs from it only by the sigma factor; continuation's
+    first block may be an F handed on from the walk's previous point, built
+    at other nodes (`newton_solve`).  A block is dropped after the step it
+    was factored for.  `assemble()`
     writes J there and returns (buffer, G), for a border that solves with J
     itself.  A check's node values and projection are one pass of
     `_NonlinearTerm.project`.  Three modes:
@@ -362,7 +382,8 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord, stall):
       r_f < 1, where r_f is that ratio for the LU's fresh step, the first
       step taken with it: a fresh LU that contracts no faster than the kept
       one is not worth its F build and factorization.  A fresh step that did
-      not reduce the norm (r_f >= 1) refactors at once.  With the exact
+      not reduce the norm (r_f >= 1) refactors at once; so does the first
+      step on a handed F, which is rated like any fresh LU's.  With the exact
       Jacobian r_f is at most 1/2 near the solution and the rule is Kelley's.
     - chord that stalls (`chord` and `stall`, the certificate): the same
       steps, but a fresh step whose norm is not below the least so far
@@ -560,6 +581,15 @@ def amplitude(u):
     return float(u.basis.filtered_origin_row @ u.c)
 
 
+def _zeta0_guess(basis, t, f):
+    """(u, lam) on the first-order branch lambda f(0) zeta0 with amplitude t."""
+    if t == 0:
+        return spectral.RadialCoeffs(basis, np.zeros(basis.K)), 0.0
+    zeta0 = spectral._zeta0(basis).c
+    lam = t / (f.f0 * float(basis.filtered_origin_row @ zeta0))
+    return spectral.RadialCoeffs(basis, lam * f.f0 * zeta0), lam
+
+
 def newton_solve(basis, t, f, guess=None):
     """Solve {residual(u, lam) = 0, amplitude(u) = t} for (u, lam) by Newton.
 
@@ -570,25 +600,30 @@ def newton_solve(basis, t, f, guess=None):
     F diag(sigma), so the sigma factor is the one part of it left out.
     Running out of NEWTON_MAX_STEPS checks, or a non-finite residual, raises
     NewtonError with the last residual norm.  Returns a BranchPoint with the
-    stability eigenvalue attached.
+    stability eigenvalue nu1 attached (`_nu1`).
+
+    guess is (u, lam), by default on the first-order branch (`_zeta0_guess`).
+    `continue_branch` adds a third item, a one-item list that carries F from
+    one solve to the next: the F held there, if any, is the J block of the
+    first LU in place of a build at the guess, and is let go once used; the
+    F that nu1 was computed on is put there for the next solve.
     """
     if t < 0:
         raise ValueError("amplitude t must be >= 0")
     phi0 = basis.filtered_origin_row
     if guess is None:
-        c = np.zeros(basis.K)
-        lam = 0.0
-        if t > 0:
-            # first-order predictor along lambda*f(0)*zeta0
-            zeta0 = spectral._zeta0(basis).c
-            lam = t / (f.f0 * float(phi0 @ zeta0))
-            c = lam * f.f0 * zeta0
-    else:
-        c, lam = np.array(guess[0].c), float(guess[1])
+        guess = _zeta0_guess(basis, t, f)
+    c, lam = np.array(guess[0].c), float(guess[1])
+    handed = guess[2] if len(guess) > 2 else [None]
 
     term = _NonlinearTerm(basis, f)
+
+    def block(nodes):
+        F, handed[0] = handed[0], None
+        return term.derivative(nodes) if F is None else F
+
     outcome, best, norm = _bordered_newton(
-        basis, term, c, lam, term.derivative,
+        basis, term, c, lam, block,
         lambda c, lam, nodes, assemble: (float(phi0 @ c) - t, phi0, 0.0),
         NEWTON_TOL, chord=True, stall=False,
     )
@@ -597,15 +632,18 @@ def newton_solve(basis, t, f, guess=None):
     if outcome != "converged":
         raise NewtonError(f"Newton did not converge at t={t} (residual {norm:.3e})")
     c, lam, _ = best
-    u = spectral.RadialCoeffs(basis, c)
-    return BranchPoint(t=t, lam=lam, u=u, nu1=stability_eigenvalue(u, lam, f), residual=norm)
+    nu1, handed[0] = _nu1(basis, term, lam, c)
+    return BranchPoint(t=t, lam=lam, u=spectral.RadialCoeffs(basis, c), nu1=nu1, residual=norm)
 
 
 def continue_branch(basis, t_grid, f):
     """Walk the branch over a strictly increasing amplitude grid.
 
-    Secant predictor between consecutive solves; the walk stops at the first
-    NewtonError, whose message (naming its t) becomes `Branch.stop`.  The
+    Secant predictor between consecutive solves (the first-order branch for
+    the first); the walk stops at the first NewtonError, whose message
+    (naming its t) becomes `Branch.stop`.  Each solve starts its chord steps
+    from the F on which the previous point's nu1 was computed, in place of a
+    build at its predictor, so the walk builds F about once a point.  The
     fold is marked where lambda first decreases, also at the first walked
     point, and `_refine_fold` replaces it by the fold that the fold solve
     finds from there, inserted as an extra branch point; a failed refinement
@@ -617,23 +655,25 @@ def continue_branch(basis, t_grid, f):
     br = Branch()
     prev = None
     prev2 = None
+    handed = [None]  # F of the last point's nu1, for the next solve's first LU
     for t in t_grid:
         if prev is None:
-            guess = None
+            u_pred, lam_pred = _zeta0_guess(basis, float(t), f)
         elif prev2 is None:
-            guess = (prev.u, prev.lam)
+            u_pred, lam_pred = prev.u, prev.lam
         else:
             frac = (t - prev.t) / (prev.t - prev2.t)
             c_pred = prev.u.c + frac * (prev.u.c - prev2.u.c)
             lam_pred = prev.lam + frac * (prev.lam - prev2.lam)
-            guess = (spectral.RadialCoeffs(basis, c_pred), lam_pred)
+            u_pred = spectral.RadialCoeffs(basis, c_pred)
         try:
-            point = newton_solve(basis, float(t), f, guess=guess)
+            point = newton_solve(basis, float(t), f, guess=(u_pred, lam_pred, handed))
         except NewtonError as exc:
             br.stop = str(exc)
             break
         br.points.append(point)
         prev2, prev = prev, point
+    handed[0] = None  # let the last F go before the fold solve builds its own
     lams = [p.lam for p in br.points]
     for i in range(1, len(lams)):
         if lams[i] < lams[i - 1]:

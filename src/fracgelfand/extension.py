@@ -288,8 +288,12 @@ def stability_weighted_inequality(u, spec):
     drho = 3.0 * t ** 2 * tw
     y, wy = _vertical_grid(basis, y_max=spec.R + 1.5)
     g = _profile_table(basis, y)
-    dphi = basis.phi_prime_matrix(rho)
     rad, d_rad, psi, d_psi = _cutoff_parts(spec, rho, y)
+    # rad and rad' vanish outside [eps, 0.75], where every radial weight is
+    # an exact zero: the moments take the other nodes only
+    on = (rad != 0) | (d_rad != 0)
+    rho, drho, rad, d_rad = rho[on], drho[on], rad[on], d_rad[on]
+    dphi = basis.phi_prime_matrix(rho)
     wr = sphere_area(basis.n) * rho ** (basis.n - 1.0) * drho
     psi2 = _moments(g, wy * psi ** 2)
     lhs = (_moments(dphi, wr * d_rad ** 2) * psi2

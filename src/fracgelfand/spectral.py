@@ -305,13 +305,6 @@ def evaluate(u, rho):
     return float(vals[0]) if rho.ndim == 0 else vals
 
 
-def evaluate_deriv(u, rho):
-    """Radial derivative du/drho at rho."""
-    rho = np.asarray(rho, dtype=float)
-    vals = u.c @ u.basis.phi_prime_matrix(rho)
-    return float(vals[0]) if rho.ndim == 0 else vals
-
-
 def analyze(basis, samples):
     """Project a radial function onto the basis: c_k = int_{B_1} u phi_k dx.
 

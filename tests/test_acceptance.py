@@ -142,26 +142,49 @@ class TestCriterion6:
         )
 
 
+@pytest.fixture(scope="module")
+def subcritical_walks(fexp):
+    """Criterion 7's 30 `estimate_lambda_star` results, keyed by (n, s, K), and their time."""
+    t0 = time.perf_counter()
+    runs = {
+        (n, s, K): branchsolve.estimate_lambda_star(spectral.build_basis(n, s, K), fexp)
+        for n in range(2, 7) for s in (0.3, 0.5, 0.7) for K in (128, 256)
+    }
+    return runs, time.perf_counter() - t0
+
+
 class TestCriterion7:
-    def test_subcritical_amplitude_stability(self, fexp):
+    def test_subcritical_amplitude_stability(self, subcritical_walks):
+        runs, t_build = subcritical_walks
         t0 = time.perf_counter()
         worst = 0.0
         worst_cfg = None
         for n in range(2, 7):
             for s in (0.3, 0.5, 0.7):
-                amps = []
-                for K in (128, 256):
-                    basis = spectral.build_basis(n, s, K)
-                    _, _, br = branchsolve.estimate_lambda_star(basis, fexp)
-                    amps.append(branchsolve.amplitude(branchsolve.extremal_solution(br).u))
+                amps = [branchsolve.amplitude(branchsolve.extremal_solution(runs[n, s, K][2]).u)
+                        for K in (128, 256)]
                 rel = abs(amps[1] - amps[0]) / amps[0]
                 if rel > worst:
                     worst, worst_cfg = rel, (n, s)
         _report(
             7, "extremal amplitude stable under K-doubling (n<=6)", worst < 0.02,
             f"worst rel change {worst:.1e} at (n,s)={worst_cfg}",
-            time.perf_counter() - t0, 1800,
+            t_build + time.perf_counter() - t0, 1800,
         )
+
+    def test_minimal_branch_stable_and_decreasing(self, subcritical_walks):
+        # on every walk: nu1 > 0 before the refined fold and nu1 < 0 after
+        # it, and before it the filtered du/drho stays below criterion 14's
+        # bound on 100 radii in [0.05, 0.95]; the raw series, which rings next
+        # to the axis, would not (+27 at (6, 0.3, 128))
+        radii = np.linspace(0.05, 0.95, 100)
+        for cfg, (_, _, br) in subcritical_walks[0].items():
+            i = br.fold_index
+            assert all(p.nu1 > 0 for p in br.points[:i]), cfg
+            assert all(p.nu1 < 0 for p in br.points[i + 1:]), cfg
+            dphi = br.points[0].u.basis.phi_prime_matrix(radii)
+            slopes = np.stack([spectral.filtered(p.u).c for p in br.points[:i]]) @ dphi
+            assert np.max(slopes) < 1e-8, cfg
 
 
 class TestCriterion8:

@@ -490,33 +490,25 @@ class TestNewton:
     def test_walk_reuses_the_factorization(self, fexp, monkeypatch):
         # s = 1, n = 2 (Liouville-Bratu): lambda(t) = 8 (e^(-t/2) - e^(-t))
         # exactly; the walks on t <= 4 stay within 1.2e-9 (K = 64) and
-        # 3.4e-11 (K = 128) of it, with far fewer F builds than checks.
-        # Every Newton solve builds F from the nonlinear term, at least once
-        # per walked point; nu1's build in stability_eigenvalue is not counted
-        builds, in_stability = [], []
+        # 3.4e-11 (K = 128) of it.  Every F build of the walk is counted, nu1's
+        # included: each point builds F once, for its nu1, and the next solve
+        # starts from that F; only the first solve builds its own.  The fold
+        # solve from the walked fold point adds four builds and its nu1 one,
+        # 22 in all at both K (37 when every solve built F at its predictor)
+        builds = []
         derivative = branchsolve._NonlinearTerm.derivative
-        stability = branchsolve.stability_eigenvalue
 
         def counted(term, u_nodes):
-            if not in_stability:
-                builds.append(1)
+            builds.append(1)
             return derivative(term, u_nodes)
 
-        def stability_counted(*args):
-            in_stability.append(1)
-            try:
-                return stability(*args)
-            finally:
-                in_stability.pop()
-
         monkeypatch.setattr(branchsolve._NonlinearTerm, "derivative", counted)
-        monkeypatch.setattr(branchsolve, "stability_eigenvalue", stability_counted)
         t_grid = np.linspace(0.0, 4.0, 17)[1:]
         for K, rel in ((64, 5e-9), (128, 1e-10)):
             builds.clear()
             br = branchsolve.continue_branch(spectral.build_basis(2, 1.0, K), t_grid, fexp)
             assert br.stop == "grid end"
-            assert len(t_grid) <= len(builds) <= 2 * len(t_grid)
+            assert len(t_grid) <= len(builds) <= len(t_grid) + 6
             for p in br.points:
                 assert p.lam == pytest.approx(8.0 * (math.exp(-p.t / 2) - math.exp(-p.t)),
                                               rel=rel)
@@ -590,6 +582,15 @@ class TestStability:
         want = np.min(np.linalg.eigvals(_complex_step_jacobian(basis, u.c, lam, fexp)).real)
         got = branchsolve.stability_eigenvalue(u, lam, fexp)
         assert got == pytest.approx(want, rel=1e-9)
+
+    def test_walked_nu1_is_stability_eigenvalue(self, fexp):
+        # the walk computes nu1 on its own F and hands that F on; the value
+        # is the public function's, bit for bit, on both sides of the fold
+        basis = spectral.build_basis(3, 0.5, 64)
+        br = branchsolve.continue_branch(basis, np.linspace(0.0, 12.0, 49)[1:], fexp)
+        assert br.points[br.fold_index + 1:]
+        for p in br.points:
+            assert p.nu1 == branchsolve.stability_eigenvalue(p.u, p.lam, fexp)
 
     def test_cholesky_test_agrees_with_the_eigenvalue(self, fexp):
         # the walked points before the fold have nu1 > 0, those after it nu1 < 0
