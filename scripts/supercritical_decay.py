@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Near-extremal decay envelope study in a supercritical dimension.
 
-Bisects the largest lambda at which the monotone iteration still converges,
-solves just below it, and fits u(rho) <= C rho^(-mu) against the theoretical
+Takes lambda-hat, the fold that the monotone iteration's fold solve reports
+in a bisection of its threshold (`regularity.near_extremal_envelope`), solves
+just below it, and fits u(rho) <= C rho^(-mu) against the theoretical
 exponent.  Writes the sampled profile as CSV.
 
 Usage:

@@ -7,18 +7,19 @@ Newton continuation, which passes the fold where lambda-continuation would
 lose the Jacobian.  The smallest eigenvalue of the linearized operator is
 tracked along the branch; it crosses zero at the fold.  One bordered fold
 solve (`_fold_solve`) locates that fold: continuation starts it from its
-walked fold point, the monotone iteration from an iterate that no
-certificate decides.  Continuation, the certificate and the fold solve are
-one Newton kernel (`_bordered_newton`) with three border equations: the
+walked fold point, each monotone iteration from its own iterate when no
+certificate decides it.  Continuation, the certificate and the fold solve
+are one Newton kernel (`_bordered_newton`) with three border equations: the
 amplitude, lambda pinned, and the fold function.  All three build their J
 block from the nonlinear term's F; only continuation leaves out the sigma
 factor of the exact Jacobian F diag(sigma) (`_NonlinearTerm.jacobian`).
 Continuation and the certificate take chord steps, the fold solve full
-steps.  A walk builds F about once a point: nu1 at each converged point is
-computed on an F (`_nu1`), and the next point's chord steps start from that
-same F.  Continuation and the fold solve stop at NEWTON_TOL, the certificate
-at the residual's rounding level (CERTIFY_FLOOR); the certificate tests
-nu1 > 0 by a Cholesky factorization (`_is_stable`), not an eigenvalue.
+steps.  nu1 has one implementation, `_nu1`, which returns the F it was
+computed on; a walk builds F about once a point, because the next point's
+chord steps start from the F of the previous point's nu1.  Continuation
+and the fold solve stop at NEWTON_TOL, the certificate at the residual's
+rounding level (CERTIFY_FLOOR); the certificate tests nu1 > 0 by a
+Cholesky factorization (`_is_stable`), not an eigenvalue.
 Every Picard step and every Newton check reads the basis table once: the
 node values and the projection come from one pass over column panels
 (`_NonlinearTerm.project`).
@@ -74,9 +75,9 @@ class DivergenceSignal(Exception):
     Three outcomes: the iterate blew up at iteration `iterations`
     (`exhausted` False, `fold_lambda` None); the iteration ran out of its
     `iterations` steps without a Newton certificate (`exhausted` True); or
-    lambda lies above the fold `fold_lambda`, which the fold solve found
-    from the iterate after `iterations` = CERTIFY_AFTER steps or the caller
-    handed in (`exhausted` False).
+    lambda lies more than FOLD_MARGIN above the fold `fold_lambda`, which
+    the fold solve found from the iterate after `iterations` =
+    CERTIFY_AFTER steps (`exhausted` False).
     """
 
     def __init__(self, lam, iterations, amplitude, exhausted, fold_lambda=None):
@@ -220,7 +221,7 @@ class _NonlinearTerm:
     def derivative(self, u_nodes):
         """F = Phi_kept W_kept f'(u~) Phi_kept^T at the kept-node values u_nodes."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _gram(self.phi, self.w * self.f.deriv(u_nodes))
+            return spectral._gram(self.phi, self.w * self.f.deriv(u_nodes))
 
     def jacobian(self, u_nodes):
         """F diag(sigma), the Jacobian of P[f(u~)] in c (u~ filtered, 0 on the cut)."""
@@ -246,22 +247,6 @@ def residual(u, lam, f):
     return spectral.RadialCoeffs(u.basis, spectral.frac_laplacian(u).c - lam * proj)
 
 
-def _gram(phi, g):
-    """Phi diag(g) Phi^T as B B^T with B = Phi |g|^(1/2), exactly symmetric.
-
-    numpy runs a product of a matrix with its own transpose as one SYRK,
-    half the flops of a general product.  Nodes with g < 0 (f' < 0 at a
-    negative iterate, which an admissible f may have) are summed apart and
-    subtracted.
-    """
-    b = phi * np.sqrt(np.abs(g))
-    neg = g < 0
-    if not neg.any():
-        return b @ b.T
-    b_pos, b_neg = b[:, ~neg], b[:, neg]
-    return b_pos @ b_pos.T - b_neg @ b_neg.T
-
-
 def _stability_form(basis, term, lam, F):
     """diag(mu^s) - lambda sigma^(1/2) F sigma^(1/2), in one new array.
 
@@ -282,7 +267,8 @@ def _nu1(basis, term, lam, c):
     of `residual`, by `eigh` on `_stability_form`, and the F it was built on.
 
     The one implementation of nu1: `stability_eigenvalue` wraps it, and
-    `newton_solve` calls it on its own term, so that a walk can hand F on.
+    `newton_solve` and `_fold_solve` call it on their own term; a walk
+    hands the F on.
     """
     F = term.derivative(term.project(c)[0])
     A = _stability_form(basis, term, lam, F)
@@ -311,7 +297,7 @@ def _is_stable(basis, term, lam, nodes):
     return True
 
 
-def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL, *, fold=None):
+def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
     """Minimal solution by the sub/supersolution iteration from u = 0.
 
     u^{m+1} = lambda * (-Delta)^{-s} P[f(u^m)]; the iterates increase
@@ -326,13 +312,11 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL, *, fold=Non
     `_newton_certificate`.  If that fails, `_fold_solve` looks for the fold
     from the same iterate; when lambda lies more than FOLD_MARGIN (relative)
     above it, there is no minimal solution and the iteration stops.
-    Otherwise Picard goes on from the same iterate.  `fold` is the lambda of
-    a fold already solved for on this basis and f (`picard_bisect` passes
-    the first one it finds); it stands in for the fold solve, which would
-    find it again.  Raises DivergenceSignal with one of three outcomes: the
-    iterate blew up, lambda lies above the fold (`fold_lambda` set, after
-    CERTIFY_AFTER steps), or the iteration ran out of max_iter steps
-    without a certificate (`exhausted`).
+    Otherwise (no fold found, or lambda within FOLD_MARGIN of it) Picard
+    goes on from the same iterate.  Raises DivergenceSignal with one of
+    three outcomes: the iterate blew up, lambda lies above the fold
+    (`fold_lambda` set, after CERTIFY_AFTER steps), or the iteration ran out
+    of max_iter steps without a certificate (`exhausted`).
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -353,11 +337,9 @@ def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL, *, fold=Non
             u = _newton_certificate(basis, term, lam, c, tol)
             if u is not None:
                 return u
-            if fold is None:
-                point = _fold_solve(basis, term, lam, c)
-                fold = None if point is None else point.lam
-            if fold is not None and lam > fold * (1.0 + FOLD_MARGIN):
-                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold)
+            fold = _fold_solve(basis, term, lam, c)
+            if fold is not None and lam > fold.lam * (1.0 + FOLD_MARGIN):
+                raise DivergenceSignal(lam, m, amp, exhausted=False, fold_lambda=fold.lam)
     raise DivergenceSignal(lam, max_iter, float(np.max(np.abs(u_nodes))), exhausted=True)
 
 
@@ -490,11 +472,12 @@ def _fold_solve(basis, term, lam, c):
     vectors.  The transposed solve [w; .] of the same LU gives g_lambda =
     w^T F sigma v and g_c = lambda sigma Phi (W f''(u~) Phi^T w Phi^T sigma
     v) on the kept nodes, f'' by a complex step on f' (`curvature`), so a
-    step costs one F, two (K+1)^2 LUs and a few products.  The best
-    point is accepted, with its nu1 and coefficient residual, if that
-    residual is at most NEWTON_TOL and |nu1| at most FOLD_NU1_TOL: a
-    semistable solution ends the minimal branch for convex f (Crandall &
-    Rabinowitz, ARMA 58, 1975), and later turning points have nu1 < 0.
+    step costs one F, two (K+1)^2 LUs and a few products.  The best point
+    is accepted, with its nu1 (`_nu1` on the solve's own term) and its
+    coefficient residual, if that residual is at most NEWTON_TOL and |nu1|
+    at most FOLD_NU1_TOL: a semistable solution ends the minimal branch for
+    convex f (Crandall & Rabinowitz, ARMA 58, 1975), and later turning
+    points have nu1 < 0.
     """
     K = basis.K
     sigma = term.sigma
@@ -529,10 +512,10 @@ def _fold_solve(basis, term, lam, c):
     residual_norm = math.sqrt(float(res @ res))
     if not residual_norm <= NEWTON_TOL:
         return None
-    u = spectral.RadialCoeffs(basis, c)
-    nu1 = stability_eigenvalue(u, lam, term.f)
+    nu1, _ = _nu1(basis, term, lam, c)
     if not abs(nu1) <= FOLD_NU1_TOL:
         return None
+    u = spectral.RadialCoeffs(basis, c)
     return BranchPoint(t=amplitude(u), lam=lam, u=u, nu1=nu1, residual=residual_norm)
 
 
@@ -546,8 +529,9 @@ def picard_bisect(basis, f, lo, hi, width):
     certificate, counts as an upper end.  The first solved fold is kept, and
     a midpoint more than FOLD_MARGIN (relative) above it is an upper end
     without an iteration: there it blows up, or its own fold solve finds the
-    same fold.  Every later iteration gets that fold, so no further fold
-    solve is run.  Returns (lo, hi).
+    same fold, so a skip saves an iteration and, near the fold, a fold
+    solve.  A midpoint below that, within FOLD_MARGIN of the fold included,
+    is iterated as any other.  Returns (lo, hi).
     width must be positive: the midpoint of two adjacent floats rounds onto
     one of them, so a zero width would never be reached.
     """
@@ -560,7 +544,7 @@ def picard_bisect(basis, f, lo, hi, width):
             hi = mid
             continue
         try:
-            monotone_iterate(basis, mid, f, fold=fold)
+            monotone_iterate(basis, mid, f)
             lo = mid
         except DivergenceSignal as exc:
             hi = mid

@@ -55,7 +55,7 @@ def max_principle_min(basis, rng):
 
 def gram_error(basis):
     """max |G - I| for the Gram matrix of the basis under its quadrature rule."""
-    G = (basis.phi_table * basis.quad_weights) @ basis.phi_table.T
+    G = spectral._gram(basis.phi_table, basis.quad_weights)
     return float(np.max(np.abs(G - np.eye(basis.K))))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from . import spectral
-from .spectral import sphere_area
+from .spectral import _gram, sphere_area
 from .specfun import gamma
 
 
@@ -74,11 +74,26 @@ def _profile_args(basis, y):
     return norms, roots, roots * np.asarray(y, dtype=float)[None, :]
 
 
+# K_nu(t), 0 <= nu <= 1, is below half the smallest subnormal double from
+# t = 745 on (sqrt(pi / 2t) e^(-t) (1 + 3/(8t)) < 2.4e-324), so kv rounds
+# to 0 there; scipy's kv returns 0 from t = 697.9 on
+_KV_ZERO = 745.0
+
+
+def _kv(order, t):
+    """special.kv(order, t) on a table t > 0, called only where t < _KV_ZERO;
+    0 elsewhere, which is what kv returns there."""
+    out = np.zeros_like(t)
+    live = t < _KV_ZERO
+    out[live] = special.kv(order, t[live])
+    return out
+
+
 def _profile_table(basis, y):
     """(K, len(y)) table of g_k at the heights y > 0."""
     s = basis.s
     norms, roots, t = _profile_args(basis, y)
-    return norms * t ** s * special.kv(s, t) / roots ** s
+    return norms * t ** s * _kv(s, t) / roots ** s
 
 
 def _profile_deriv_table(basis, y):
@@ -86,7 +101,7 @@ def _profile_deriv_table(basis, y):
     d/dt [t^s K_s(t)] = -t^s K_{1-s}(t)."""
     s = basis.s
     norms, roots, t = _profile_args(basis, y)
-    return -norms * roots ** (1.0 - s) * t ** s * special.kv(1.0 - s, t)
+    return -norms * roots ** (1.0 - s) * t ** s * _kv(1.0 - s, t)
 
 
 def flux_constant(s):
@@ -155,12 +170,6 @@ def _vertical_grid(basis, panels=48, y_max=None):
     return y, wy
 
 
-def _moments(table, weights):
-    """The (K, K) moment matrix table diag(weights) table^T of a (K, N)
-    table of basis values at N quadrature nodes."""
-    return (table * weights) @ table.T
-
-
 def _forms(us, M):
     """c^T M c for the coefficients c of each trace, one K x K form each,
     computed the same way for one trace as for many."""
@@ -184,8 +193,8 @@ def extension_energy(u):
     # only through phi; use explicit node tables to stay an independent route.
     wr = basis.quad_weights
     dphi = basis.phi_prime_matrix(basis.quad_nodes)
-    M = (_moments(dphi, wr) * _moments(_profile_table(basis, y), wy)
-         + _moments(basis.phi_table, wr) * _moments(_profile_deriv_table(basis, y), wy))
+    M = (_gram(dphi, wr) * _gram(_profile_table(basis, y), wy)
+         + _gram(basis.phi_table, wr) * _gram(_profile_deriv_table(basis, y), wy))
     return _forms([u], M)[0]
 
 
@@ -250,7 +259,7 @@ def weighted_vrho_integral(u, spec):
     us, single = _traces(u)
     basis = us[0].basis
     y, wy = _vertical_grid(basis, panels=32)
-    G = _moments(_profile_table(basis, y), wy)
+    G = _gram(_profile_table(basis, y), wy)
     vals = []
     for m in (400, 800):
         t, tw = spectral._gauss_rule(m, 0.0, 1.0)
@@ -258,7 +267,7 @@ def weighted_vrho_integral(u, spec):
         rho = 0.5 * t ** 4
         drho = 0.5 * 4.0 * t ** 3 * tw
         wr = sphere_area(basis.n) * rho ** (basis.n - 1.0 - 2.0 * spec.alpha) * drho
-        vals.append(_forms(us, _moments(basis.phi_prime_matrix(rho), wr) * G))
+        vals.append(_forms(us, _gram(basis.phi_prime_matrix(rho), wr) * G))
     for coarse, fine in zip(*vals):
         if coarse != 0.0 and abs(fine - coarse) > 5e-3 * abs(fine):
             raise QuadratureError(
@@ -295,10 +304,10 @@ def stability_weighted_inequality(u, spec):
     rho, drho, rad, d_rad = rho[on], drho[on], rad[on], d_rad[on]
     dphi = basis.phi_prime_matrix(rho)
     wr = sphere_area(basis.n) * rho ** (basis.n - 1.0) * drho
-    psi2 = _moments(g, wy * psi ** 2)
-    lhs = (_moments(dphi, wr * d_rad ** 2) * psi2
-           + _moments(dphi, wr * rad ** 2) * _moments(g, wy * d_psi ** 2))
-    rhs = _moments(dphi, wr * (rad / rho) ** 2) * psi2
+    psi2 = _gram(g, wy * psi ** 2)
+    lhs = (_gram(dphi, wr * d_rad ** 2) * psi2
+           + _gram(dphi, wr * rad ** 2) * _gram(g, wy * d_psi ** 2))
+    rhs = _gram(dphi, wr * (rad / rho) ** 2) * psi2
     sides = [(a, (basis.n - 1.0) * b) for a, b in zip(_forms(us, lhs), _forms(us, rhs))]
     return sides[0] if single else np.array(sides)
 

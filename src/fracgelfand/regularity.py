@@ -53,16 +53,69 @@ def decay_envelope_constant(u, mu, rho_range):
     return float(np.max(vals * rho ** mu))
 
 
-def near_extremal_envelope(basis, f, rho_range):
-    """Decay envelope of the minimal solution just below the Picard threshold.
+# relative offset of the two checks about the solved fold lambda_F: the
+# monotone iteration must converge at lambda_F (1 - FOLD_CHECK) and decide
+# that there is no solution at lambda_F (1 + FOLD_CHECK).  The upper end
+# decides only if it lies more than FOLD_MARGIN above the fold that its own
+# fold solve finds, within 6e-13 relative of lambda_F at n = 20 (K = 512
+# and 1024): at 1e-9 that turns on rounding (with lambda_F itself as the
+# fold the budget runs out), while 1e-8 and 1e-6 decide at both ends.
+# Under a weight cut set by conditioning (rho < 0.11 at n = 20) the lower
+# end converges at 1e-6 but runs out of its budget at 1e-8.
+FOLD_CHECK = 1e-6
 
-    lambda-hat is the lower end of `branchsolve.picard_bisect` on [0.1, 8]
-    to width 1e-11 (40 halvings).  The minimal solution at 0.995 lambda-hat
-    is filtered, and C is its envelope constant on rho_range for the
-    exponent mu, 0.1 below `decay_exponent_bound`.  Returns
-    (lambda_hat, filtered solution, mu, C).
+
+def _solved_fold(basis, f, lo, hi):
+    """lambda_F, the fold carried by the first DivergenceSignal that carries one
+    in a bisection of the monotone iteration's threshold on [lo, hi].
+
+    A midpoint where the iteration converges replaces lo, one where it
+    raises without a fold (blew up, or ran out of its budget) replaces hi.
+    Once hi - lo is within FOLD_MARGIN of hi, no midpoint can lie far enough
+    above a fold for the iteration to report it, so the bisection ends there
+    and raises RuntimeError naming its last bracket.
     """
-    lam_hat, _ = branchsolve.picard_bisect(basis, f, 0.1, 8.0, width=1e-11)
+    while hi - lo > branchsolve.FOLD_MARGIN * hi:
+        mid = 0.5 * (lo + hi)
+        try:
+            branchsolve.monotone_iterate(basis, mid, f)
+            lo = mid
+        except branchsolve.DivergenceSignal as exc:
+            if exc.fold_lambda is not None:
+                return exc.fold_lambda
+            hi = mid
+    raise RuntimeError(f"no fold solved: the monotone iteration's threshold lies in "
+                       f"[{lo}, {hi}], within FOLD_MARGIN")
+
+
+def near_extremal_envelope(basis, f, rho_range):
+    """Decay envelope of the minimal solution just below the extremal parameter.
+
+    lambda-hat is lambda_F, the solved fold of the first bisection step on
+    [0.1, 8] whose monotone iteration reports one (`_solved_fold`): a
+    Newton solution with |nu1| <= FOLD_NU1_TOL, where a semistable solution
+    ends the minimal branch.  The monotone route confirms it: the iteration
+    converges at lambda_F (1 - FOLD_CHECK) and decides that there is no
+    solution at lambda_F (1 + FOLD_CHECK); otherwise RuntimeError names the
+    end that failed.  The minimal solution at 0.995 lambda-hat is filtered,
+    and C is its envelope constant on rho_range for the exponent mu, 0.1
+    below `decay_exponent_bound`.  Returns (lambda_hat, filtered solution,
+    mu, C).
+    """
+    lam_hat = _solved_fold(basis, f, 0.1, 8.0)
+    below, above = lam_hat * (1.0 - FOLD_CHECK), lam_hat * (1.0 + FOLD_CHECK)
+    try:
+        branchsolve.monotone_iterate(basis, below, f)
+    except branchsolve.DivergenceSignal as exc:
+        raise RuntimeError(f"the solved fold {lam_hat} is not confirmed below: {exc}") from exc
+    try:
+        branchsolve.monotone_iterate(basis, above, f)
+    except branchsolve.DivergenceSignal as exc:
+        if exc.exhausted:
+            raise RuntimeError(f"the solved fold {lam_hat} is not confirmed above: {exc}") from exc
+    else:
+        raise RuntimeError(f"the solved fold {lam_hat} is not confirmed above: the "
+                           f"monotone iteration converges at lambda={above}")
     uf = spectral.filtered(branchsolve.monotone_iterate(basis, 0.995 * lam_hat, f))
     mu = decay_exponent_bound(basis.n, basis.s) - 0.1
     return lam_hat, uf, mu, decay_envelope_constant(uf, mu, rho_range)

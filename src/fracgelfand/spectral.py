@@ -272,6 +272,24 @@ def build_basis(n, s, K, quad_order=None):
     )
 
 
+def _gram(phi, g):
+    """Phi diag(g) Phi^T as B B^T with B = Phi |g|^(1/2), exactly symmetric.
+
+    The one kernel for every such matrix of a (K, N) table of values at N
+    nodes: the nonlinear term's F (`branchsolve._NonlinearTerm.derivative`),
+    the extension's moment matrices and the basis's Gram matrix.  numpy runs
+    a product of a matrix with its own transpose as one SYRK, half the flops
+    of a general product.  Nodes with g < 0 (f' < 0 at a negative iterate,
+    which an admissible f may have) are summed apart and subtracted.
+    """
+    b = phi * np.sqrt(np.abs(g))
+    neg = g < 0
+    if not neg.any():
+        return b @ b.T
+    b_pos, b_neg = b[:, ~neg], b[:, neg]
+    return b_pos @ b_pos.T - b_neg @ b_neg.T
+
+
 def unit(basis, k):
     """The k-th basis vector (1-based)."""
     c = np.zeros(basis.K)

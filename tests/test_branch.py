@@ -197,26 +197,15 @@ class TestMonotoneIteration:
         with pytest.raises(branchsolve.DivergenceSignal, match="blew up at iteration 59"):
             branchsolve.monotone_iterate(basis, 2.01, fexp)
 
-    def test_known_fold_stands_in_for_the_fold_solve(self, fexp, monkeypatch):
-        # picard_bisect hands on the first fold it solved; with it no fold
-        # solve is run: above FOLD_MARGIN the step ends at CERTIFY_AFTER as
-        # before, within it Picard decides on its own
+    def test_known_fold_stands_in_for_the_fold_solve(self, fexp):
+        # the raise carries the fold its fold solve found, which picard_bisect
+        # keeps: above it a midpoint is an upper end without a fold solve
         basis = spectral.build_basis(2, 1.0, 32)
-        with pytest.raises(branchsolve.DivergenceSignal) as got:
+        with pytest.raises(branchsolve.DivergenceSignal, match="lies above the fold") as got:
             branchsolve.monotone_iterate(basis, 2.000875, fexp)
-        fold = got.value.fold_lambda
-        solves = []
-        monkeypatch.setattr(branchsolve, "_fold_solve", lambda *args: solves.append(args))
-        with pytest.raises(branchsolve.DivergenceSignal, match="lies above the fold") as again:
-            branchsolve.monotone_iterate(basis, 2.000875, fexp, fold=fold)
-        assert again.value.fold_lambda == fold
-        assert again.value.iterations == branchsolve.CERTIFY_AFTER
-        with pytest.raises(branchsolve.DivergenceSignal) as inside:
-            branchsolve.monotone_iterate(basis, fold * (1.0 + 0.5 * branchsolve.FOLD_MARGIN),
-                                         fexp, fold=fold)
-        assert inside.value.fold_lambda is None
-        assert inside.value.iterations > branchsolve.CERTIFY_AFTER
-        assert solves == []
+        assert got.value.iterations == branchsolve.CERTIFY_AFTER
+        assert got.value.fold_lambda == pytest.approx(2.0, rel=1e-6)
+        assert 2.000875 > got.value.fold_lambda * (1.0 + branchsolve.FOLD_MARGIN)
 
     def test_certifies_a_step_picard_cannot_finish(self, fexp):
         # Picard alone runs out of its 4000 steps at both; the certified point
@@ -362,11 +351,11 @@ def _rel_max(got, want):
 
 
 class TestGram:
-    """F = Phi diag(g) Phi^T built as symmetric products, against the direct product."""
+    """Phi diag(g) Phi^T as symmetric products (`spectral._gram`), against the direct product."""
 
     def test_random_sign_weights(self, basis):
         g = np.random.default_rng(3).standard_normal(basis.phi_table.shape[1])
-        F = branchsolve._gram(basis.phi_table, g)
+        F = spectral._gram(basis.phi_table, g)
         assert np.array_equal(F, F.T)
         assert _rel_max(F, (basis.phi_table * g) @ basis.phi_table.T) <= 1e-13
 
@@ -699,7 +688,8 @@ class TestFoldRefinement:
     def test_failed_fold_refinement_is_named(self, fexp, monkeypatch):
         # nu1 = 1 everywhere: the fold solve accepts no point, and the
         # walked branch comes back with the error
-        monkeypatch.setattr(branchsolve, "stability_eigenvalue", lambda u, lam, f: 1.0)
+        nu1 = branchsolve._nu1
+        monkeypatch.setattr(branchsolve, "_nu1", lambda *args: (1.0, nu1(*args)[1]))
         basis = spectral.build_basis(2, 1.0, 32)
         t_grid = np.linspace(0.0, 3.0, 13)[1:]
         with pytest.raises(branchsolve.BranchError) as err:
@@ -779,7 +769,7 @@ class TestPicardBisect:
         # a stand-in iteration that converges exactly below lambda = 3.25
         calls = []
 
-        def threshold(basis, lam, f, max_iter=4000, fold=None):
+        def threshold(basis, lam, f, max_iter=4000):
             calls.append(lam)
             if lam >= 3.25:
                 raise branchsolve.DivergenceSignal(lam, 1, float("inf"), exhausted=False)
@@ -795,16 +785,14 @@ class TestPicardBisect:
     def test_skips_steps_above_the_solved_fold(self, monkeypatch):
         # a stand-in whose every step above lambda = 3.25 lies above the fold
         # it solves there: after the first such step, midpoints more than
-        # FOLD_MARGIN above that fold are upper ends without an iteration,
-        # and every later iteration is handed that fold
+        # FOLD_MARGIN above that fold are upper ends without an iteration
         fold_at = 3.25
         brackets = {}
         for fold_lambda in (None, fold_at):
-            calls, handed = [], []
+            calls = []
 
-            def threshold(basis, lam, f, max_iter=4000, fold=None):
+            def threshold(basis, lam, f, max_iter=4000):
                 calls.append(lam)
-                handed.append(fold)
                 if lam >= fold_at:
                     raise branchsolve.DivergenceSignal(
                         lam, branchsolve.CERTIFY_AFTER, 1.0, exhausted=False,
@@ -817,9 +805,6 @@ class TestPicardBisect:
                 assert len(calls) == 40 and len(above) > 1
             else:
                 assert len(above) == 1 and len(calls) < 40
-                first = calls.index(above[0])
-                assert handed[:first + 1] == [None] * (first + 1)
-                assert handed[first + 1:] == [fold_at] * (len(calls) - first - 1)
         assert brackets[None] == brackets[fold_at]
 
     @pytest.mark.parametrize("width", [0.0, -1.0])
@@ -828,7 +813,7 @@ class TestPicardBisect:
         # hi, and the halving would never end
         calls = []
 
-        def threshold(basis, lam, f, max_iter=4000, fold=None):
+        def threshold(basis, lam, f, max_iter=4000):
             calls.append(lam)
             assert len(calls) < 200, "bisection does not stop"
             if lam >= 3.25:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fracgelfand import extension, regularity, spectral
+from fracgelfand import branchsolve, extension, regularity, spectral
 
 
 class TestFormulas:
@@ -91,6 +91,61 @@ class TestDecayFits:
         s = 0.3
         fit = regularity.boundary_decay_rate(lambda r: (1.0 - r ** 2) ** (2 * s))
         assert fit == pytest.approx(2 * s, abs=1e-3)
+
+
+def _stand_in(fold_at, calls, reports_fold=True):
+    """A monotone_iterate that converges below fold_at and raises above it,
+    reporting the fold fold_at (if reports_fold) more than FOLD_MARGIN above it."""
+    def iterate(basis, lam, f, max_iter=4000):
+        calls.append(lam)
+        if lam < fold_at:
+            return None
+        above = reports_fold and lam > fold_at * (1.0 + branchsolve.FOLD_MARGIN)
+        raise branchsolve.DivergenceSignal(lam, branchsolve.CERTIFY_AFTER, 1.0, False,
+                                           fold_lambda=fold_at if above else None)
+    return iterate
+
+
+class TestNearExtremalEnvelope:
+    def test_stops_at_the_first_solved_fold(self, monkeypatch):
+        # [0.1, 8] halves 0.1, 4.05 (above 3.25: the first step that reports it)
+        calls = []
+        monkeypatch.setattr(branchsolve, "monotone_iterate", _stand_in(3.25, calls))
+        assert regularity._solved_fold(None, None, 0.1, 8.0) == 3.25
+        assert calls == [4.05]
+
+    def test_solved_fold_on_a_basis_is_the_walked_fold(self):
+        basis = spectral.build_basis(3, 0.5, 32)
+        f = branchsolve.exponential()
+        br = branchsolve.continue_branch(basis, np.linspace(0.0, 12.0, 49)[1:], f)
+        lam_fold = regularity._solved_fold(basis, f, 0.1, 8.0)
+        assert lam_fold == pytest.approx(branchsolve.extremal_solution(br).lam, rel=1e-9)
+
+    def test_no_fold_is_named(self, monkeypatch):
+        # every step above 3.25 blows up: the bisection ends once its bracket
+        # is within FOLD_MARGIN, 32 halvings from [0.1, 8]
+        calls = []
+        monkeypatch.setattr(branchsolve, "monotone_iterate",
+                            _stand_in(3.25, calls, reports_fold=False))
+        with pytest.raises(RuntimeError, match=r"no fold solved: .* lies in \[3\.2499"):
+            regularity.near_extremal_envelope(None, None, np.array([0.1]))
+        assert len(calls) == 32
+
+    @pytest.mark.parametrize("outcome, end", [
+        ("blew up", "below"), ("converged", "above"), ("ran out", "above")])
+    def test_unconfirmed_fold_is_named(self, monkeypatch, outcome, end):
+        # the fold 3.25 is solved; the check at 3.25 (1 -+ FOLD_CHECK) on the
+        # `end` side gives `outcome`, the check on the other side passes
+        def iterate(basis, lam, f, max_iter=4000):
+            checked = (lam < 3.25) == (end == "below")
+            if checked and outcome == "converged" or not checked and lam < 3.25:
+                return None
+            raise branchsolve.DivergenceSignal(lam, 1, 1.0, checked and outcome == "ran out")
+
+        monkeypatch.setattr(regularity, "_solved_fold", lambda *args: 3.25)
+        monkeypatch.setattr(branchsolve, "monotone_iterate", iterate)
+        with pytest.raises(RuntimeError, match=f"solved fold 3.25 is not confirmed {end}"):
+            regularity.near_extremal_envelope(None, None, np.array([0.1]))
 
 
 def _a_oracle_3d_half(beta):
