@@ -4,7 +4,10 @@
 Takes lambda-hat, the fold that the monotone iteration's fold solve reports
 in a bisection of its threshold (`regularity.near_extremal_envelope`), solves
 just below it, and fits u(rho) <= C rho^(-mu) against the theoretical
-exponent.  Writes the sampled profile as CSV.
+exponent.  Writes the sampled profile as CSV, without the radii below the
+first node that the solver's weight cut keeps (`branchsolve._NonlinearTerm`):
+there the solver feeds f(0) in place of f(u), and at n = 20 a 5e-12 move of
+lambda-hat moves u by 3e-3.
 
 Usage:
     python3 scripts/supercritical_decay.py --n 20 --s 0.5 --modes 512 \
@@ -29,19 +32,22 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     basis = spectral.build_basis(args.n, args.s, args.modes)
+    f = branchsolve.exponential()
     rho = np.geomspace(args.rho_min, args.rho_max, 120)
-    lam_hat, uf, mu, C = regularity.near_extremal_envelope(
-        basis, branchsolve.exponential(), rho)
-    vals = spectral.evaluate(uf, rho)
+    lam_hat, uf, mu, C = regularity.near_extremal_envelope(basis, f, rho)
+    rho_cut = basis.quad_nodes[branchsolve._NonlinearTerm(basis, f).j0]
+    kept = rho[rho >= rho_cut]
+    vals = spectral.evaluate(uf, kept)
 
     print(f"lambda_hat = {lam_hat:.6f} (solved at 0.995*lambda_hat)")
     print(f"envelope exponent mu = {mu:.4f}, constant C = {C:.6g}")
 
     with open(args.out, "w") as fh:
         fh.write("rho,u,envelope\n")
-        for r, v in zip(rho, vals):
+        for r, v in zip(kept, vals):
             fh.write(f"{r:.17g},{v:.17g},{C * r ** (-mu):.17g}\n")
-    print(f"wrote {len(rho)} samples to {args.out}")
+    print(f"wrote {len(kept)} samples to {args.out}; left out {len(rho) - len(kept)} "
+          f"below the weight cut's first kept node rho = {rho_cut:.4g}")
 
 
 if __name__ == "__main__":

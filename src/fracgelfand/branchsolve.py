@@ -59,6 +59,10 @@ CERTIFY_FLOOR = 4.0
 # default relative width of the lambda* bracket, and of the gap allowed
 # between its two routes; `config` reads its bracket_tol default from here
 BRACKET_REL_TOL = 1e-3
+# default amplitude walk t_max / t_steps, 2 t_max / t_steps, ..., t_max;
+# `config` reads its t_max and t_steps defaults from here
+T_MAX = 12.0
+T_STEPS = 48
 # bytes of Phi per column panel of `_NonlinearTerm.project`: the synthesis
 # reads a panel and the projection reads it again, so the panel should still
 # sit in a core's L2 cache when the projection comes to it.  One Picard step
@@ -687,7 +691,7 @@ def _refine_fold(basis, br, f):
     br.fold_index = int(np.argmax([p.lam for p in br.points]))
 
 
-def estimate_lambda_star(basis, f, t_max=12.0, t_steps=48, bracket_rel_tol=BRACKET_REL_TOL):
+def estimate_lambda_star(basis, f, t_max=T_MAX, t_steps=T_STEPS, bracket_rel_tol=BRACKET_REL_TOL):
     """Two independent brackets for the extremal parameter.
 
     (i) lambda_F, the fold of the continued branch, solved for from the

@@ -23,8 +23,8 @@ class ExperimentConfig:
     s: float = 0.5
     f: str = "exp"  # exp | power:p
     modes: int = 256
-    t_max: float = 12.0
-    t_steps: int = 48
+    t_max: float = branchsolve.T_MAX
+    t_steps: int = branchsolve.T_STEPS
     bracket_tol: float = DEFAULT_TOLERANCES["bracket_tol"]
     out_dir: Path = Path(".")
     seed: int = 0

@@ -36,7 +36,6 @@ from scipy import special
 
 from . import spectral
 from .spectral import _gram, sphere_area
-from .specfun import gamma
 
 
 class QuadratureError(RuntimeError):
@@ -60,7 +59,7 @@ def flux_constant_analytic(s):
     """Closed-form flux constant 2^(1-2s) * Gamma(1-s) / Gamma(s)."""
     if not (0 < s < 1):
         raise ValueError("s must lie in (0, 1)")
-    return 2.0 ** (1.0 - 2.0 * s) * gamma(1.0 - s) / gamma(s)
+    return 2.0 ** (1.0 - 2.0 * s) * special.gamma(1.0 - s) / special.gamma(s)
 
 
 def _profile_args(basis, y):
@@ -70,30 +69,15 @@ def _profile_args(basis, y):
     small-argument limit Gamma(s)/2 (sqrt(mu_k)/2)^(-s) of y^s K_s(sqrt(mu_k) y),
     so that g_k(0+) = 1."""
     roots = np.sqrt(basis.mu)[:, None]
-    norms = 2.0 * (roots / 2.0) ** basis.s / gamma(basis.s)
+    norms = 2.0 * (roots / 2.0) ** basis.s / special.gamma(basis.s)
     return norms, roots, roots * np.asarray(y, dtype=float)[None, :]
-
-
-# K_nu(t), 0 <= nu <= 1, is below half the smallest subnormal double from
-# t = 745 on (sqrt(pi / 2t) e^(-t) (1 + 3/(8t)) < 2.4e-324), so kv rounds
-# to 0 there; scipy's kv returns 0 from t = 697.9 on
-_KV_ZERO = 745.0
-
-
-def _kv(order, t):
-    """special.kv(order, t) on a table t > 0, called only where t < _KV_ZERO;
-    0 elsewhere, which is what kv returns there."""
-    out = np.zeros_like(t)
-    live = t < _KV_ZERO
-    out[live] = special.kv(order, t[live])
-    return out
 
 
 def _profile_table(basis, y):
     """(K, len(y)) table of g_k at the heights y > 0."""
     s = basis.s
     norms, roots, t = _profile_args(basis, y)
-    return norms * t ** s * _kv(s, t) / roots ** s
+    return norms * t ** s * special.kv(s, t) / roots ** s
 
 
 def _profile_deriv_table(basis, y):
@@ -101,7 +85,7 @@ def _profile_deriv_table(basis, y):
     d/dt [t^s K_s(t)] = -t^s K_{1-s}(t)."""
     s = basis.s
     norms, roots, t = _profile_args(basis, y)
-    return -norms * roots ** (1.0 - s) * t ** s * _kv(1.0 - s, t)
+    return -norms * roots ** (1.0 - s) * t ** s * special.kv(1.0 - s, t)
 
 
 def flux_constant(s):
@@ -316,7 +300,8 @@ def poisson_constant(n, s):
     """Half-space Poisson-kernel normalization Gamma((n+2-2s)/2) / (pi^(n/2) Gamma(1-s))."""
     if n < 2 or not (0 < s < 1):
         raise ValueError("need n >= 2 and s in (0, 1)")
-    return gamma((n + 2.0 - 2.0 * s) / 2.0) / (math.pi ** (n / 2.0) * gamma(1.0 - s))
+    return special.gamma((n + 2.0 - 2.0 * s) / 2.0) / (
+        math.pi ** (n / 2.0) * special.gamma(1.0 - s))
 
 
 # sample radii per block of basis values in riesz_potential_radial: keeps the

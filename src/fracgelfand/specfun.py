@@ -1,8 +1,8 @@
-"""Special-function kernel: gamma and the positive zeros of Bessel J.
+"""Special-function kernel: the positive zeros of Bessel J.
 
-A thin wrapper around scipy.special plus the zeros of J_nu for real orders
-in [0, MAX_ORDER]: sign changes of J_nu on a unit grid bracket them, and
-array Newton steps refine them.
+The zeros of J_nu for real orders in [0, MAX_ORDER], which scipy.special
+gives only for integer orders: sign changes of J_nu on a unit grid bracket
+them, and array Newton steps refine them.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ class ZeroFindingError(RuntimeError):
         super().__init__(f"zero j_({nu},{index}): {message}")
         self.nu = nu
         self.index = index
-
-
-def gamma(x):
-    """Gamma function for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("gamma requires x > 0")
-    out = special.gamma(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def bessel_j_zeros(nu, count):

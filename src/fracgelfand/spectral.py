@@ -19,12 +19,13 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .specfun import gamma
 
 
 def sphere_area(n):
-    """Surface area of the unit sphere S^{n-1} in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
+    """Surface area of the unit sphere S^{n-1} in R^n, n >= 1 (|S^0| = 2)."""
+    if n < 1:
+        raise ValueError("sphere_area requires n >= 1")
+    return 2.0 * math.pi ** (n / 2.0) / special.gamma(n / 2.0)
 
 
 @dataclass(frozen=True)

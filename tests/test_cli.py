@@ -23,6 +23,7 @@ class TestConfigParsing:
         assert cfg.s == 0.5
         assert cfg.f == "exp"
         assert cfg.modes == 256
+        assert (cfg.t_max, cfg.t_steps) == (12.0, 48)
         assert cfg.bracket_tol == config.DEFAULT_TOLERANCES["bracket_tol"]
         # the quadrature order is build_basis's 4K, not a setting
         with pytest.raises(config.ConfigError, match="unknown key 'quad_order'"):

@@ -48,6 +48,20 @@ class TestProfile:
         assert np.all(g >= 0)
         assert np.all(np.diff(g) <= 0)
 
+    def test_tables_vanish_where_kv_underflows(self):
+        # K_nu(t), 0 <= nu <= 1, lies below half the smallest subnormal
+        # double from t = 745 on (sqrt(pi / 2t) e^(-t) (1 + 3/(8t)) < 2.4e-324).
+        # On the stability check's grid at K = 256 (y up to R + 1.5 = 4.5,
+        # sqrt(mu_256) ~ 804) both tables are finite, and exactly 0 there.
+        b = spectral.build_basis(3, 0.3, 256)
+        y, _ = extension._vertical_grid(b, y_max=3.0 + 1.5)
+        far = np.sqrt(b.mu)[:, None] * y >= 745.0
+        assert far.any()
+        for table in (extension._profile_table, extension._profile_deriv_table):
+            g = table(b, y)
+            assert np.all(np.isfinite(g))
+            assert np.all(g[far] == 0.0)
+
 
 class TestFluxConstant:
     def test_half_s_is_one(self):

@@ -5,6 +5,8 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
+
 from fracgelfand import branchsolve, spectral
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "supercritical_decay.py"
@@ -30,3 +32,17 @@ def test_decay_script_lambda_hat_in_lambda_star_bracket(tmp_path, capsys):
     basis = spectral.build_basis(3, 0.5, 16)
     lo, hi, _ = branchsolve.estimate_lambda_star(basis, branchsolve.exponential())
     assert lo <= lam_hat <= hi
+
+
+def test_decay_script_leaves_out_the_weight_cut(tmp_path, capsys):
+    # at n = 20 the weight cut feeds f(0) to the nodes below rho ~ 0.19: the
+    # CSV starts at the first kept node, and the script counts what it left out
+    out = tmp_path / "decay.csv"
+    _decay_script().main(["--n", "20", "--s", "0.5", "--modes", "32", "--out", str(out)])
+    rows = [[float(v) for v in row.split(",")] for row in out.read_text().splitlines()[1:]]
+    left_out = int(re.search(r"left out (\d+)", capsys.readouterr().out).group(1))
+    assert left_out > 100 and len(rows) + left_out == 120
+    basis = spectral.build_basis(20, 0.5, 32)
+    rho_cut = basis.quad_nodes[branchsolve._NonlinearTerm(basis, branchsolve.exponential()).j0]
+    assert np.geomspace(1e-3, 0.3, 120)[left_out - 1] < rho_cut <= rows[0][0]
+    assert all(math.isfinite(v) for row in rows for v in row)

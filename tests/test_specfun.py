@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from fracgelfand import specfun
@@ -18,28 +17,6 @@ def bisect_zero(f, lo, hi, iters=200):
             lo = mid
             flo = f(lo)
     return 0.5 * (lo + hi)
-
-
-class TestGamma:
-    def test_half_integer(self):
-        assert specfun.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_one(self):
-        assert specfun.gamma(1.0) == 1.0
-
-    def test_factorial(self):
-        assert specfun.gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            specfun.gamma(-1.0)
-        with pytest.raises(ValueError):
-            specfun.gamma(0.0)
-
-    @given(st.floats(min_value=1e-3, max_value=49.0))
-    @settings(max_examples=60, deadline=None)
-    def test_functional_equation(self, x):
-        assert specfun.gamma(x + 1.0) == pytest.approx(x * specfun.gamma(x), rel=1e-12)
 
 
 class TestBesselJZeros:

@@ -15,6 +15,18 @@ def basis3():
     return spectral.build_basis(3, 0.5, 16)
 
 
+class TestSphereArea:
+    def test_low_dimensions(self):
+        assert spectral.sphere_area(1) == 2.0
+        assert spectral.sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
+        assert spectral.sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [0, -1, 0.5])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            spectral.sphere_area(n)
+
+
 class TestBuildBasis:
     def test_n3_eigenvalues_are_pi_squares(self, basis3):
         k = np.arange(1, 17)
