@@ -14,12 +14,15 @@ amplitude, lambda pinned, and the fold function.  All three build their J
 block from the nonlinear term's F; only continuation leaves out the sigma
 factor of the exact Jacobian F diag(sigma) (`_NonlinearTerm.jacobian`).
 Continuation and the certificate take chord steps, the fold solve full
-steps.  nu1 has one implementation, `_nu1`, which returns the F it was
-computed on; a walk builds F about once a point, because the next point's
-chord steps start from the F of the previous point's nu1.  Continuation
-and the fold solve stop at NEWTON_TOL, the certificate at the residual's
-rounding level (CERTIFY_FLOOR); the certificate tests nu1 > 0 by a
-Cholesky factorization (`_is_stable`), not an eigenvalue.
+steps.  nu1 has one implementation, `_nu1`, which takes the node values
+of the check that converged and returns the F it was computed on; a walk
+builds F about once a point, because the next point's chord steps start
+from the F of the previous point's nu1.  Continuation and the fold solve
+stop at NEWTON_TOL, the certificate at the residual's rounding level
+(CERTIFY_FLOOR); the certificate tests nu1 > 0 by a Cholesky factorization
+(`_is_stable`), not an eigenvalue.  The kernel, nu1 and that test call
+LAPACK's getrf and getrs, syevr and potrf through module-level handles,
+without scipy's per-call wrappers; a zero pivot shows in getrf's info.
 Every Picard step and every Newton check reads the basis table once: the
 node values and the projection come from one pass over column panels
 (`_NonlinearTerm.project`).
@@ -27,8 +30,8 @@ node values and the projection come from one pass over column panels
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -71,6 +74,16 @@ T_STEPS = 48
 # 0.50 / 0.55 / 0.58 ms at K = 512 and 2.15 / 1.92 / 1.75 / 1.88 / 2.09 ms
 # at K = 1024
 _PANEL_BYTES = 2 ** 20
+
+# The LAPACK routines of the Newton kernel, nu1 and the stability test, called
+# directly: scipy's lu_factor, lu_solve, eigh and cholesky wrap each call in
+# argument checks, a workspace query (eigh) and a warning on a zero pivot
+# (lu_factor).  At K = 64, one BLAS thread, best of five: lu_factor 55 us
+# against getrf's 37, lu_solve 18 against getrs's 3, eigh's bottom
+# eigenvalue 162 against syevr's 140.  The calls pass what those wrappers
+# pass, so the results are theirs bit for bit.
+_getrf, _getrs, _potrf, _syevr, _syevr_lwork = linalg.get_lapack_funcs(
+    ("getrf", "getrs", "potrf", "syevr", "syevr_lwork"), dtype=np.float64)
 
 
 class DivergenceSignal(Exception):
@@ -256,32 +269,50 @@ def _stability_form(basis, term, lam, F):
 
     F is the nonlinear term's derivative (`_NonlinearTerm.derivative`) and is
     left as it is.  The matrix is similar to diag(mu^s) - lambda F
-    diag(sigma), the Jacobian of `residual`, and symmetric.
+    diag(sigma), the Jacobian of `residual`, and symmetric.  A form with an
+    infinite or NaN entry raises ValueError, as scipy's finiteness check
+    did: LAPACK would take it without a word.
     """
     root = np.sqrt(term.sigma)
     A = root[:, None] * F
     A *= root
     A *= -lam
     A[np.diag_indices_from(A)] += basis.mu ** basis.s
+    if not np.isfinite(A).all():
+        raise ValueError("the stability form is not finite")
     return A
 
 
-def _nu1(basis, term, lam, c):
-    """(nu1, F) at the coefficients c: the smallest eigenvalue of the Jacobian
-    of `residual`, by `eigh` on `_stability_form`, and the F it was built on.
+@functools.cache
+def _syevr_workspace(K):
+    """(lwork, liwork) of `_syevr` on a K x K matrix, queried once per K."""
+    work, iwork, _ = _syevr_lwork(K, lower=1)
+    return int(work), int(iwork)
+
+
+def _nu1(basis, term, lam, nodes):
+    """(nu1, F) at the kept-node values nodes: the smallest eigenvalue of the
+    Jacobian of `residual`, by LAPACK's syevr on `_stability_form` (what
+    `linalg.eigh` with subset_by_index=(0, 0) calls), and the F it was
+    built on.
 
     The one implementation of nu1: `stability_eigenvalue` wraps it, and
-    `newton_solve` and `_fold_solve` call it on their own term; a walk
-    hands the F on.
+    `newton_solve` and `_fold_solve` call it on their own term with the node
+    values of the check that converged; a walk hands the F on.
     """
-    F = term.derivative(term.project(c)[0])
-    A = _stability_form(basis, term, lam, F)
-    return float(linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 0), overwrite_a=True)[0]), F
+    F = term.derivative(nodes)
+    lwork, liwork = _syevr_workspace(basis.K)
+    w, _, _, _, info = _syevr(_stability_form(basis, term, lam, F), compute_v=0, range="I",
+                              il=1, iu=1, lower=1, overwrite_a=1, lwork=lwork, liwork=liwork)
+    if info:
+        raise linalg.LinAlgError(f"syevr failed with info {info}")
+    return float(w[0]), F
 
 
 def stability_eigenvalue(u, lam, f):
     """Smallest eigenvalue nu1 of the Jacobian of `residual` at (u, lam) (`_nu1`)."""
-    return _nu1(u.basis, _NonlinearTerm(u.basis, f), lam, u.c)[0]
+    term = _NonlinearTerm(u.basis, f)
+    return _nu1(u.basis, term, lam, term.project(u.c)[0])[0]
 
 
 def _is_stable(basis, term, lam, nodes):
@@ -291,14 +322,11 @@ def _is_stable(basis, term, lam, nodes):
     positive definite, that is when nu1 > 0 (up to rounding).  At n = 20,
     one BLAS thread, the factorization takes 3.7 ms against 12.6 ms for the
     bottom eigenvalue by `eigh` at K = 512, and 7.3 against 100 ms at
-    K = 1024.
+    K = 1024.  LAPACK's potrf reports a failed factorization by its info.
     """
-    try:
-        linalg.cholesky(_stability_form(basis, term, lam, term.derivative(nodes)),
-                        overwrite_a=True)
-    except linalg.LinAlgError:
-        return False
-    return True
+    _, info = _potrf(_stability_form(basis, term, lam, term.derivative(nodes)),
+                     overwrite_a=1, clean=0)
+    return info == 0
 
 
 def monotone_iterate(basis, lam, f, max_iter=4000, tol=MONOTONE_TOL):
@@ -382,13 +410,17 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord, stall):
     rounding level in the certificate.  Returns (outcome, best, norm):
     "converged" (norm <= tol), "stalled", "non-finite" (the norm),
     "singular" (a zero pivot) or "budget" (NEWTON_MAX_STEPS checks); best is
-    (c, lam, res) of the least norm (None before a finite one), norm the last.
+    (c, lam, res, nodes) of the least norm (None before a finite one), with
+    the kept-node values of its check, and norm the last.  The LU is
+    LAPACK's getrf and getrs (`_getrf`, `_getrs`), which report a zero
+    pivot by getrf's info; in a border's own solve it shows as a
+    non-finite r.
     """
     K = basis.K
     mus = basis.mu ** basis.s
     diag = np.arange(K)
     M = np.empty((K + 1, K + 1), order="F")
-    lu, G, best, best_norm, last_norm = None, None, None, np.inf, np.inf
+    lu, piv, G, best, best_norm, last_norm = None, None, None, None, np.inf, np.inf
     fresh_ratio = None  # r_f, None until the next check rates a new LU's first step
 
     def assemble():
@@ -399,9 +431,7 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord, stall):
         M[diag, diag] += mus
         return M, G
 
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        # a singular matrix shows as a zero pivot, in a border's own solve as a non-finite r
-        warnings.simplefilter("ignore", linalg.LinAlgWarning)
+    with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, NEWTON_MAX_STEPS + 1):
             nodes, proj = term.project(c)
             res = mus * c - lam * proj
@@ -410,7 +440,7 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord, stall):
             if not math.isfinite(norm):
                 return "non-finite", best, norm
             if norm < best_norm:
-                best, best_norm = (c, lam, res), norm
+                best, best_norm = (c, lam, res, nodes), norm
             elif stall and lu is not None and fresh_ratio is None:  # after a fresh step
                 return "stalled", best, norm
             if norm <= tol:
@@ -424,13 +454,13 @@ def _bordered_newton(basis, term, c, lam, block, border, tol, chord, stall):
                     and (norm <= CHORD_RATIO * last_norm or ratio <= fresh_ratio < 1.0)):
                 assemble()
                 M[:K, K], M[K, :K], M[K, K] = -proj, row, corner
-                lu = linalg.lu_factor(M, overwrite_a=True, check_finite=False)
-                if not lu[0].diagonal().all():
+                lu, piv, info = _getrf(M, overwrite_a=1)
+                if info > 0:
                     return "singular", best, norm
                 fresh_ratio = None
             last_norm = norm
-            # without finiteness checks a non-finite iterate is left to the next check
-            step = linalg.lu_solve(lu, -np.concatenate([res, [r]]), check_finite=False)
+            # getrs checks nothing: a non-finite iterate is left to the next check
+            step, _ = _getrs(lu, piv, -np.concatenate([res, [r]]), overwrite_b=1)
             c, lam, G = c + step[:K], lam + float(step[K]), None
 
 
@@ -501,9 +531,9 @@ def _fold_solve(basis, term, lam, c):
             except (ValueError, linalg.LinAlgError):
                 return np.nan, None, None
         M[:K, K], M[K, :K], M[K, K] = root * q, q / root, 0.0
-        lu = linalg.lu_factor(M, overwrite_a=True, check_finite=False)
-        v, g = np.split(linalg.lu_solve(lu, unit, check_finite=False), [K])
-        w = linalg.lu_solve(lu, unit, trans=1, check_finite=False)[:K]
+        lu, piv, _ = _getrf(M, overwrite_a=1)
+        v, g = np.split(_getrs(lu, piv, unit)[0], [K])
+        w = _getrs(lu, piv, unit, trans=1)[0][:K]
         g_c = lam * sigma * (term.phi @ (term.curvature(nodes) * (w @ term.phi)
                                          * ((sigma * v) @ term.phi)))
         return float(g[0]), g_c, w @ (G @ v)
@@ -512,11 +542,11 @@ def _fold_solve(basis, term, lam, c):
                                   fold_function, NEWTON_TOL, chord=False, stall=True)
     if best is None:
         return None
-    c, lam, res = best
+    c, lam, res, nodes = best
     residual_norm = math.sqrt(float(res @ res))
     if not residual_norm <= NEWTON_TOL:
         return None
-    nu1, _ = _nu1(basis, term, lam, c)
+    nu1, _ = _nu1(basis, term, lam, nodes)
     if not abs(nu1) <= FOLD_NU1_TOL:
         return None
     u = spectral.RadialCoeffs(basis, c)
@@ -619,8 +649,8 @@ def newton_solve(basis, t, f, guess=None):
         raise NewtonError(f"singular augmented Jacobian at t={t}")
     if outcome != "converged":
         raise NewtonError(f"Newton did not converge at t={t} (residual {norm:.3e})")
-    c, lam, _ = best
-    nu1, handed[0] = _nu1(basis, term, lam, c)
+    c, lam, _, nodes = best
+    nu1, handed[0] = _nu1(basis, term, lam, nodes)
     return BranchPoint(t=t, lam=lam, u=spectral.RadialCoeffs(basis, c), nu1=nu1, residual=norm)
 
 

@@ -22,7 +22,9 @@ per-trace N_rho x N_y grid of v_rho costs O(K N_rho N_y).
 The Riesz potential of |h| (`riesz_potential_radial`) is one radial integral
 against the closed-form sphere mean of its kernel.  Its panels away from each
 target radius form one base grid shared by every radius, so one table of
-basis values serves all the radii and functions of a call.
+basis values serves all the radii and functions of a call.  A sample radius
+within sqrt(eps) / j_K of its target x takes no row of that table: h there
+is h(x) + h'(x)(r - x), whose error lies below the rounding of h(x).
 """
 
 from __future__ import annotations
@@ -462,9 +464,13 @@ def _patch(edges, x):
     return (replaced[0], replaced[-1] + 1) if replaced.size else (0, 0)
 
 
-def _riesz_samples(n, s, K, xs):
-    """Sample radii r_i in [0, 1] and a weight matrix W, (len(r), len(xs)),
-    with R(h)(x_j) = sum_i W_ij |h(r_i)| for every h on a K-mode basis.
+def _riesz_samples(basis, xs):
+    """The samples of R(h) at the radii xs, for every h on the basis: table
+    radii r_i in [0, 1] with a weight matrix W, (len(r), len(xs)), and
+    tangent samples near = (index, offset, weight), three arrays, with
+
+        R(h)(x_j) = sum_i W_ij |h(r_i)|
+                    + sum_{i: index_i = j} weight_i |h(x_j) + h'(x_j) offset_i|.
 
     The angular integral is closed-form (_angular_kernel):
 
@@ -474,27 +480,40 @@ def _riesz_samples(n, s, K, xs):
     At x = 0 it is T = B(1/2, (n-1)/2) r^(2s-n), the hyp2f1 branch at
     w = 0.  r^(n-1) T is (r / big)^(n-1) times _angular_kernel's
     big^(n-1) T, big = max(x, r), so that no power of a radius next to
-    x = 0 leaves the floating-point range.  Its panels are the x-independent base panels of _base_edges,
-    shared by every x, except near x: there _patch picks the base panels to
-    replace, and graded panels built on each side of x in the distance from
-    x (_distance_edges) take their place; at x = 0 they replace the first
-    axis panel only.  T takes those distances, not differences of rounded
-    radii.  The innermost panel at r = x is
-    _RIESZ_GRADING^levels times the width allowed there, which puts its
-    share of T's singularity, of order delta^min(2s, 1), near 1e-16.  The
-    base radii come first in r, then each x's own radii; a column of W is
-    zero at the radii of the other x and at the base panels it replaced.
+    x = 0 leaves the floating-point range.  Its panels are the
+    x-independent base panels of _base_edges, shared by every x, except
+    near x: there _patch picks the base panels to replace, and graded
+    panels built on each side of x in the distance from x (_distance_edges)
+    take their place; at x = 0 they replace the first axis panel only.  T
+    takes those distances, not differences of rounded radii.  The innermost
+    panel at r = x is _RIESZ_GRADING^levels times the width allowed there,
+    which puts its share of T's singularity, of order delta^min(2s, 1),
+    near 1e-16.
+
+    A graded radius r = x + offset within sqrt(eps) / j_K of its x (j_K =
+    sqrt(mu_K), the largest root of the basis) is a tangent sample: h
+    there is h(x) + h'(x) offset, from one table of phi and phi' at the xs.
+    The term left out, h'' offset^2 / 2, is at most eps |h''| / (2 j_K^2),
+    and |h''| is of order j_K^2 sum_k |c_k phi_k(x)|, so it lies below the
+    rounding of h(x) itself: the distance follows from the basis and is no
+    knob.  At (3, 1/2, 64) and verify's 20 radii, 7398 of 17,168 radii are
+    tangent samples.  The base radii come first in r, then each x's own
+    table radii; a column of W is zero at the radii of the other x and at
+    the base panels it replaced.
     """
+    n, s, K = basis.n, basis.s, basis.K
     if not 0.0 < s < 1.0:
         raise ValueError("need s in (0, 1)")
     area = sphere_area(n - 1)
+    tangent = math.sqrt(np.finfo(float).eps / basis.mu[-1])
     # at most 300 levels, so that the innermost panel stays a normal number
     levels = min(math.ceil(math.log(1e-16) / (min(2.0 * s, 1.0) * math.log(_RIESZ_GRADING))), 300)
     edges = _base_edges(K)
     rb, wb = spectral._gauss_rule(16, edges[:-1], edges[1:])
     base = rb.size
     radii, columns = [rb.ravel()], []
-    for x in xs:
+    index, offset, weight = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
+    for j, x in enumerate(xs):
         lo, hi = _patch(edges, x)
         kept = np.ones(rb.shape[0], dtype=bool)
         kept[lo:hi] = False
@@ -503,20 +522,25 @@ def _riesz_samples(n, s, K, xs):
         big = np.maximum(rk, x)
         col[kept] = area * wb[kept] * (rk / big) ** (n - 1.0) * _angular_kernel(
             n, s, big, np.abs(rk - x))
-        r, delta, w = [], [], []
+        off, delta, w = [], [], []
         for side, near, far in ((-1.0, max(x - edges[hi], 0.0), x - edges[lo]),
                                 (1.0, 0.0, edges[hi] - x)):
             if far > near:
                 dist = _distance_edges(x, side, near, far, K, levels)
                 d, wd = map(np.ravel, spectral._gauss_rule(16, dist[:-1], dist[1:]))
-                r.append(x + side * d)
+                off.append(side * d)
                 delta.append(d)
                 w.append(wd)
-        r, delta, w = (np.concatenate(v) if v else np.zeros(0) for v in (r, delta, w))
-        radii.append(r)
+        off, delta, w = (np.concatenate(v) if v else np.zeros(0) for v in (off, delta, w))
+        r = x + off
         big = np.maximum(r, x)
-        columns.append((col.ravel(), area * w * (r / big) ** (n - 1.0)
-                        * _angular_kernel(n, s, big, delta)))
+        w = area * w * (r / big) ** (n - 1.0) * _angular_kernel(n, s, big, delta)
+        close = delta < tangent
+        radii.append(r[~close])
+        columns.append((col.ravel(), w[~close]))
+        index.append(np.full(np.count_nonzero(close), j))
+        offset.append(off[close])
+        weight.append(w[close])
     r = np.concatenate(radii)
     W = np.zeros((r.size, len(xs)))
     row = base
@@ -524,7 +548,7 @@ def _riesz_samples(n, s, K, xs):
         W[:base, j] = col
         W[row:row + w.size, j] = w
         row += w.size
-    return r, W
+    return r, W, tuple(np.concatenate(v) for v in (index, offset, weight))
 
 
 def riesz_potential_radial(h, x_mag):
@@ -536,20 +560,25 @@ def riesz_potential_radial(h, x_mag):
     the two is a sequence, and an array of shape (functions, radii) when
     both are.  At every radius, x_mag = 0 included, it is one radial
     integral of |h| against the closed-form sphere mean of the kernel
-    (_angular_kernel).  The sample radii and weights depend on (n, s, K)
+    (_angular_kernel).  The sample radii and weights depend on the basis
     and the radii only (see _riesz_samples), and the radii away from each x
     are one base grid shared by all of them, so all functions and all radii
     share one table of basis values, built in blocks of _RIESZ_BLOCK radii.
+    The radii within sqrt(eps) / j_K of an x take h on its tangent line at
+    x instead, from the values and slopes of h at the xs.
     """
     hs, single = _traces(h)
     basis = hs[0].basis
     C = np.stack([g.c for g in hs])
     xs = np.asarray(x_mag, dtype=float)
-    r, W = _riesz_samples(basis.n, basis.s, basis.K, xs.ravel())
+    r, W, (index, offset, weight) = _riesz_samples(basis, xs.ravel())
     total = np.zeros((len(hs), xs.size))
     for lo in range(0, r.size, _RIESZ_BLOCK):
         block = slice(lo, lo + _RIESZ_BLOCK)
         total += np.abs(C @ basis.phi_matrix(r[block])) @ W[block]
+    at, slope = C @ basis.phi_matrix(xs.ravel()), C @ basis.phi_prime_matrix(xs.ravel())
+    np.add.at(total, (slice(None), index),
+              weight * np.abs(at[:, index] + slope[:, index] * offset))
     total = total.reshape(len(hs), *xs.shape)
     if not single:
         return total

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from fracgelfand import branchsolve, spectral
 
@@ -465,8 +466,7 @@ class TestNewton:
 
         f = branchsolve.Nonlinearity("exp", counted("eval", exp_then_inf),
                                      counted("deriv", np.exp))
-        monkeypatch.setattr(branchsolve.linalg, "lu_solve",
-                            counted("step", branchsolve.linalg.lu_solve))
+        monkeypatch.setattr(branchsolve, "_getrs", counted("step", branchsolve._getrs))
         counts.update(eval=0, deriv=0, step=0)
         first_inf[0] = 2
         with pytest.raises(branchsolve.NewtonError,
@@ -512,19 +512,19 @@ class TestNewton:
         monkeypatch.setattr(branchsolve._NonlinearTerm, "derivative",
                             lambda term, u_nodes: derivative(term, u_nodes) * term.sigma
                             - 10.0 * np.eye(basis.K))
-        factor, solve = branchsolve.linalg.lu_factor, branchsolve.linalg.lu_solve
+        factor, solve = branchsolve._getrf, branchsolve._getrs
         factors, norms = [], []
 
         def counted_factor(*args, **kwargs):
             factors.append(1)
             return factor(*args, **kwargs)
 
-        def counted_solve(lu, rhs, **kwargs):
+        def counted_solve(lu, piv, rhs, **kwargs):
             norms.append(float(np.linalg.norm(rhs)))
-            return solve(lu, rhs, **kwargs)
+            return solve(lu, piv, rhs, **kwargs)
 
-        monkeypatch.setattr(branchsolve.linalg, "lu_factor", counted_factor)
-        monkeypatch.setattr(branchsolve.linalg, "lu_solve", counted_solve)
+        monkeypatch.setattr(branchsolve, "_getrf", counted_factor)
+        monkeypatch.setattr(branchsolve, "_getrs", counted_solve)
         p = branchsolve.newton_solve(basis, 1.0, fexp)
         ratios = np.array(norms[1:]) / np.array(norms[:-1])
         assert np.all((ratios[2:] > 0.5) & (ratios[2:] < 1.0))
@@ -544,6 +544,67 @@ class TestNewton:
             with pytest.raises(branchsolve.NewtonError,
                                match=r"^singular augmented Jacobian at t=1\.0$"):
                 branchsolve.newton_solve(basis, 1.0, branchsolve.exponential(), guess=guess)
+
+
+class TestLapackCalls:
+    """The kernel's direct LAPACK calls give what scipy's wrappers give."""
+
+    @pytest.mark.parametrize("K", [16, 64, 128])
+    def test_nu1_is_eigh_bit_for_bit(self, K, fexp):
+        basis = spectral.build_basis(3, 0.5, K)
+        term = branchsolve._NonlinearTerm(basis, fexp)
+        u = branchsolve.monotone_iterate(basis, 1.0, fexp)
+        nodes = term.project(u.c)[0]
+        for lam in (1.0, 4.0):  # a positive definite form, and an indefinite one
+            A = branchsolve._stability_form(basis, term, lam, term.derivative(nodes))
+            want = float(linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0])
+            assert branchsolve._nu1(basis, term, lam, nodes)[0] == want
+        assert want < 0.0
+
+    def test_kernel_step_is_lu_factor_and_lu_solve_bit_for_bit(self, fexp):
+        # the bordered matrix of continuation's first step at t = 2, in the
+        # kernel's Fortran-ordered buffer
+        basis = spectral.build_basis(3, 0.5, 64)
+        term = branchsolve._NonlinearTerm(basis, fexp)
+        u, lam = branchsolve._zeta0_guess(basis, 2.0, fexp)
+        nodes, proj = term.project(u.c)
+        K, mus = basis.K, basis.mu ** basis.s
+        M = np.empty((K + 1, K + 1), order="F")
+        M[:K, :K] = np.diag(mus) - lam * term.derivative(nodes)
+        M[:K, K], M[K, :K], M[K, K] = -proj, basis.filtered_origin_row, 0.0
+        rhs = -np.concatenate([mus * u.c - lam * proj, [branchsolve.amplitude(u) - 2.0]])
+        want = linalg.lu_solve(linalg.lu_factor(M), rhs)
+        lu, piv, info = branchsolve._getrf(M, overwrite_a=1)
+        assert info == 0
+        step, info = branchsolve._getrs(lu, piv, rhs.copy(), overwrite_b=1)
+        assert info == 0
+        assert np.array_equal(step, want)
+
+    def test_solve_through_scipy_wrappers_is_the_same(self, fexp, monkeypatch):
+        # the whole continuation solve, nu1 included, with the kernel's LU
+        # routed through lu_factor and lu_solve
+        basis = spectral.build_basis(3, 0.5, 64)
+        direct = branchsolve.newton_solve(basis, 2.0, fexp)
+
+        def getrf(M, overwrite_a):
+            return (*linalg.lu_factor(M, overwrite_a=bool(overwrite_a), check_finite=False), 0)
+
+        def getrs(lu, piv, b, trans=0, overwrite_b=0):
+            return linalg.lu_solve((lu, piv), b, trans=trans, check_finite=False), 0
+
+        monkeypatch.setattr(branchsolve, "_getrf", getrf)
+        monkeypatch.setattr(branchsolve, "_getrs", getrs)
+        wrapped = branchsolve.newton_solve(basis, 2.0, fexp)
+        assert (wrapped.lam, wrapped.nu1, wrapped.residual) == (direct.lam, direct.nu1,
+                                                                direct.residual)
+        assert np.array_equal(wrapped.u.c, direct.u.c)
+
+    def test_non_finite_stability_form_raises(self, fexp):
+        # exp(800) overflows, so f' is infinite on the nodes where u > 709
+        basis = spectral.build_basis(3, 0.5, 32)
+        u = spectral.analyze(basis, lambda r: 800.0 * (1.0 - r ** 2))
+        with pytest.raises(ValueError, match="not finite"):
+            branchsolve.stability_eigenvalue(u, 1.0, fexp)
 
 
 class TestStability:

@@ -594,3 +594,62 @@ class TestRieszPotential:
         r, w = self._shell_rule(3, 0.3, 1.5)
         ref = float(np.abs(spectral.evaluate(h, r)) @ w)
         assert extension.riesz_potential_radial(h, 1.5) == pytest.approx(ref, rel=1e-12)
+
+
+class TestRieszTangentSamples:
+    """The radii within sqrt(eps) / j_K of their x take h on its tangent line."""
+
+    @staticmethod
+    def _full_table(hs, xs):
+        """R(h) on the same samples with every one read from the basis table."""
+        b = hs[0].basis
+        C = np.stack([h.c for h in hs])
+        r, W, (index, offset, weight) = extension._riesz_samples(b, xs)
+        total = np.abs(C @ b.phi_matrix(r)) @ W
+        np.add.at(total, (slice(None), index),
+                  weight * np.abs(C @ b.phi_matrix(xs[index] + offset)))
+        return total
+
+    @pytest.mark.parametrize("n, s, K", [(3, 0.5, 64), (2, 0.7, 32)])
+    def test_tangent_value_is_the_table_value_to_rounding(self, n, s, K):
+        # h = phi_K has the largest h'' of the basis.  A radius x + d rounds
+        # to within ulp(x) / 2, which moves phi_k by |phi_k'| ulp(x) / 2, so
+        # the table itself is good to about eps (|phi_k| + x |phi_k'|) at x.
+        # Measured: at most 0.79 of that; with 100 times the tangent
+        # distance, 58 and 76 at (3, 1/2, 64), x = 0.3 and 0.9, and 2484,
+        # 132 and 31 at (2, 0.7, 32), x = 0, 0.3 and 0.9
+        b = spectral.build_basis(n, s, K)
+        xs = np.array([0.0, 0.3, 0.9])
+        _, _, (index, offset, _) = extension._riesz_samples(b, xs)
+        assert set(index) == {0, 1, 2}
+        assert np.max(np.abs(offset)) < math.sqrt(np.finfo(float).eps / b.mu[-1])
+        P, D = b.phi_matrix(xs)[-1], b.phi_prime_matrix(xs)[-1]
+        tangent = P[index] + D[index] * offset
+        table = b.phi_matrix(xs[index] + offset)[-1]
+        scale = np.finfo(float).eps * (np.abs(P) + xs * np.abs(D))
+        assert np.all(np.abs(tangent - table) <= 4.0 * scale[index])
+
+    def test_stable_points_match_the_full_table(self):
+        # verify's riesz_bound: its five stable points at (3, 1/2, 64) and 20 radii
+        cfg = config.ExperimentConfig(n=3, s=0.5, modes=64)
+        b = spectral.build_basis(cfg.n, cfg.s, cfg.modes)
+        f = cfg.nonlinearity()
+        points = checks.stable_points(branchsolve._walk(b, f, cfg.t_max, cfg.t_steps), 5)
+        term = branchsolve._NonlinearTerm(b, f)
+        hs = [spectral.RadialCoeffs(b, p.lam * term.project(p.u.c)[1]) for p in points]
+        xs = np.linspace(0.02, 0.95, 20)
+        np.testing.assert_allclose(extension.riesz_potential_radial(hs, xs),
+                                   self._full_table(hs, xs), rtol=1e-14, atol=0.0)
+
+    def test_zero_inside_the_tangent_region(self):
+        # h = phi_2(z) phi_1 - phi_1(z) phi_2 vanishes at z, half the tangent
+        # distance above x, so |h| has its kink among the tangent samples
+        b = spectral.build_basis(3, 0.5, 64)
+        x = 0.3
+        z = x + 0.5 * math.sqrt(np.finfo(float).eps / b.mu[-1])
+        c = np.zeros(b.K)
+        c[0], c[1] = b.phi_matrix(z)[1, 0], -b.phi_matrix(z)[0, 0]
+        h = spectral.RadialCoeffs(b, c)
+        assert abs(spectral.evaluate(h, z)) < 1e-15
+        assert extension.riesz_potential_radial(h, x) == pytest.approx(
+            self._full_table([h], np.array([x]))[0, 0], rel=1e-14, abs=0.0)
